@@ -4,6 +4,7 @@
 // difference fails the gate. Deliberately prints NO wall-clock timings
 // (those are the only quantities allowed to vary with the thread count).
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -124,6 +125,30 @@ void fault_section() {
     std::printf("  failure %s=%d\n", kind.c_str(), n);
 }
 
+/// One CITROEN run issued from the main thread. tuner_section runs every
+/// tuner inside a pool task, where the candidate prefetch and the GP fit
+/// run inline; here both fan out on the pool. The budget is at least 40,
+/// so the late GP fits span several of the fit's pool blocks.
+void citroen_section(const std::string& program, int budget) {
+  budget = std::max(budget, 40);
+  std::printf("[citroen %s budget=%d from the main thread]\n",
+              program.c_str(), budget);
+  sim::ProgramEvaluator eval(bench_suite::make_program(program),
+                             sim::arm_a57_model());
+  auto sandboxed = bench::make_sandbox_if_enabled(eval);
+  sim::Evaluator& local =
+      sandboxed ? static_cast<sim::Evaluator&>(*sandboxed)
+                : static_cast<sim::Evaluator&>(eval);
+  auto dist = bench::make_dist_if_enabled(local, eval, "arm");
+  sim::Evaluator& stack =
+      dist ? static_cast<sim::Evaluator&>(*dist) : local;
+  core::CitroenTuner tuner(stack, bench::default_citroen_config(budget, 1));
+  const auto res = tuner.run();
+  print_vec("citroen/1", res.speedup_curve);
+  for (const auto& [feature, relevance] : res.stat_relevance)
+    std::printf("  1/lengthscale %s: %.17g\n", feature.c_str(), relevance);
+}
+
 void tuner_section(const std::string& program, int budget, int seeds) {
   std::printf("[tuners %s budget=%d seeds=%d]\n", program.c_str(), budget,
               seeds);
@@ -150,6 +175,7 @@ int main(int argc, char** argv) {
   batch_section("security_sha", "sha");
   batch_section("office_stringsearch", "search");
   fault_section();
+  citroen_section("security_sha", budget);
   tuner_section("security_sha", budget, seeds);
   return 0;
 }

@@ -91,8 +91,20 @@ class GaussianProcess {
   void load_state(persist::Reader& r);
 
  private:
-  double compute_lml_and_grad(Vec* grad) const;
-  void factorize();
+  /// Per pair of training points, as symmetric matrices: the noise-free
+  /// kernel value and the scale of its lengthscale derivatives (see
+  /// ArdKernel::terms). The hyper-parameter gradient is built from these.
+  struct PairTerms {
+    Matrix k;
+    Matrix scale;
+  };
+
+  /// Build K under the current hypers, recording `terms` when given, and
+  /// factorise it.
+  void factorize(PairTerms* terms = nullptr);
+  /// d LML / d [log lengthscales..., log signal, log noise] at the
+  /// current factorisation; `terms` come from the factorize() that built it.
+  Vec lml_gradient(const PairTerms& terms) const;
   /// Rank-one path: succeeds only when (x, y) extend the previous fit
   /// exactly and every appended point keeps the factor positive definite.
   bool try_incremental_fit(const std::vector<Vec>& x, const Vec& y);

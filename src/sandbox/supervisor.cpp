@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <unordered_set>
 
 #include "obs/metrics.hpp"
@@ -41,6 +42,17 @@ void sleep_seconds(double s) {
   ts.tv_nsec = static_cast<long>((s - static_cast<double>(ts.tv_sec)) * 1e9);
   while (::nanosleep(&ts, &ts) != 0 && errno == EINTR) {
   }
+}
+
+/// Close every fd >= 3 except `a` and `b`.
+void close_fds_except(int a, int b) {
+  unsigned first = 3;
+  for (const int keep : {std::min(a, b), std::max(a, b)}) {
+    const unsigned k = static_cast<unsigned>(keep);
+    if (k > first) ::close_range(first, k - 1, 0);
+    first = std::max(first, k + 1);
+  }
+  ::close_range(first, ~0U, 0);
 }
 
 std::string describe_signal(int sig) {
@@ -146,16 +158,12 @@ bool SandboxedEvaluator::spawn_worker(std::size_t slot) const {
     return false;
   }
   if (pid == 0) {
-    // Child. Drop every fd that belongs to the supervisor or to sibling
-    // workers: a sibling holding our pipe ends would defeat EOF-based
-    // death detection.
-    ::close(job_pipe[1]);
-    ::close(result_pipe[0]);
-    for (const auto& other : workers_) {
-      if (&other == &w) continue;
-      if (other.job_fd >= 0) ::close(other.job_fd);
-      if (other.result_fd >= 0) ::close(other.result_fd);
-    }
+    // Child. Keep stdio and our own two pipe ends, drop every other fd.
+    // A worker holding another worker's job pipe -- a sibling's, or one
+    // of another evaluator's in the same process -- would keep that
+    // worker from ever reading EOF, so its supervisor's shutdown would
+    // wait out the grace period and then SIGKILL it.
+    close_fds_except(job_pipe[0], result_pipe[1]);
     worker_serve(base_, job_pipe[0], result_pipe[1], w.cell, config_.limits);
     // worker_serve is [[noreturn]]
   }

@@ -1,6 +1,6 @@
 // citroen-cli — command-line client for citroend.
 //
-//   citroen-cli submit --socket PATH --tenant NAME --program NAME \
+//   citroen-cli submit --socket PATH --tenant NAME --program NAME
 //               [--machine M] [--method M] [--budget N] [--seed N] [--wait]
 //   citroen-cli attach --socket PATH --tenant NAME --job ID
 //   citroen-cli cancel --socket PATH --tenant NAME --job ID

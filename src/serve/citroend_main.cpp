@@ -1,9 +1,9 @@
 // citroend — the tuning-as-a-service daemon.
 //
-//   citroend --socket /tmp/citroend.sock --state-dir /var/lib/citroend \
-//            [--resume] [--tcp-port N] [--max-jobs N] \
-//            [--tenant-jobs N] [--tenant-evals N] [--quantum N] \
-//            [--drain-deadline SECONDS] \
+//   citroend --socket /tmp/citroend.sock --state-dir /var/lib/citroend
+//            [--resume] [--tcp-port N] [--max-jobs N]
+//            [--tenant-jobs N] [--tenant-evals N] [--quantum N]
+//            [--drain-deadline SECONDS]
 //            [--peers LIST] [--cache-dir DIR] [--corpus-dir DIR]
 //
 // --peers takes a comma-separated endpoint list (unix:/path or ip:port)

@@ -76,8 +76,7 @@ Task make_push14() {
   t.name = "push14";
   t.box = uniform_box(14, 0.0, 1.0);
   t.f = [](const Vec& x) {
-    auto segment = [&](int base, double ox, double oy, double tx,
-                       double ty) {
+    auto segment = [&](int base, double ox, double oy) {
       // pusher start, direction, and distance
       const double px = 4.0 * x[static_cast<std::size_t>(base)] - 2.0;
       const double py = 4.0 * x[static_cast<std::size_t>(base) + 1] - 2.0;
@@ -99,10 +98,10 @@ Task make_push14() {
       return std::pair<double, double>{nox, noy};
     };
     // object 1 at (0,-1) -> target (2,1); object 2 at (0,1) -> (-2,1)
-    auto [o1x, o1y] = segment(0, 0.0, -1.0, 2.0, 1.0);
-    auto [o2x, o2y] = segment(4, 0.0, 1.0, -2.0, 1.0);
+    auto [o1x, o1y] = segment(0, 0.0, -1.0);
+    auto [o2x, o2y] = segment(4, 0.0, 1.0);
     // second pushes (3 params each reused from the tail of x)
-    auto [p1x, p1y] = segment(8, o1x, o1y, 2.0, 1.0);
+    auto [p1x, p1y] = segment(8, o1x, o1y);
     std::pair<double, double> second2 = {o2x, o2y};
     {
       const double px = 4.0 * x[12] - 2.0;

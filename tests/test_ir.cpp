@@ -101,6 +101,11 @@ struct WrapCase {
   std::int64_t a, b, expected;
 };
 
+// Without this, gtest prints the raw bytes of the case, and those hold the
+// run-time address of `name`: the test names registered by
+// gtest_discover_tests would then change on every build.
+void PrintTo(const WrapCase& c, std::ostream* os) { *os << c.name; }
+
 class WrapSemantics : public ::testing::TestWithParam<WrapCase> {};
 
 TEST_P(WrapSemantics, MatchesTwosComplement) {

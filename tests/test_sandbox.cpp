@@ -10,6 +10,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -489,6 +491,43 @@ TEST(Sandbox, CompileVettingMatchesPlain) {
   EXPECT_EQ(co_sandbox.binary_hash, co_plain.binary_hash);
   EXPECT_EQ(co_sandbox.code_size, co_plain.code_size);
   EXPECT_EQ(co_sandbox.stats.counters(), co_plain.stats.counters());
+}
+
+TEST(Sandbox, ShutdownNeverWaitsOnAnotherEvaluatorsWorkers) {
+  sim::ProgramEvaluator plain(bench_suite::make_program("security_sha"),
+                              sim::arm_a57_model());
+  sim::ProgramEvaluator base_a(bench_suite::make_program("security_sha"),
+                               sim::arm_a57_model());
+  sim::ProgramEvaluator base_b(bench_suite::make_program("security_sha"),
+                               sim::arm_a57_model());
+  sandbox::SandboxConfig cfg;
+  cfg.workers = 1;
+  auto first = std::make_unique<sandbox::SandboxedEvaluator>(base_a, cfg);
+  first->evaluate(make_assignment(0));
+  // The second evaluator's worker forks while the first one's job pipe
+  // is open in this process.
+  sandbox::SandboxedEvaluator second(base_b, cfg);
+  const auto out1 = second.evaluate(make_assignment(1));
+  ASSERT_EQ(first->sandbox_stats().forks, 1u);
+  ASSERT_EQ(second.sandbox_stats().forks, 1u);
+
+  // Shutdown closes the job pipe and reaps the worker at EOF. Had the
+  // second worker inherited the write end, it would wait out the 2 s
+  // grace period and then SIGKILL.
+  const auto t0 = std::chrono::steady_clock::now();
+  first.reset();
+  const double shutdown_s = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+  EXPECT_LT(shutdown_s, 0.5);
+
+  const auto out2 = second.evaluate(make_assignment(2));
+  EXPECT_EQ(outcome_bytes(out1),
+            outcome_bytes(plain.evaluate(make_assignment(1))));
+  EXPECT_EQ(outcome_bytes(out2),
+            outcome_bytes(plain.evaluate(make_assignment(2))));
+  EXPECT_EQ(second.sandbox_stats().forks, 1u);
+  EXPECT_FALSE(second.degraded());
 }
 
 // ---- end-to-end: containment ----------------------------------------------
