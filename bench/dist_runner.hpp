@@ -1,14 +1,13 @@
 #pragma once
-// Opt-in distributed-pool wiring for the bench runners.
+// A localhost peer fleet for the bench gates.
 //
-// CITROEN_DIST=1 decorates the evaluator stack with a dist::DistEvaluator
-// (src/dist/pool.hpp) that farms pure measurements to socket-connected
-// peers. Peer endpoints come from CITROEN_PEERS; when that is unset the
-// gates fork a small localhost fleet themselves (LocalPeerFleet below)
-// and export its endpoints, so `CITROEN_DIST=1 ./ext_determinism` is
-// self-contained. Results are byte-identical with the pool on, off,
-// dying mid-job, or fully browned out — the toggle changes only where
-// the pure work runs.
+// Every evaluator stack builds its worker pool through
+// dist::make_worker_pool (src/dist/pool.hpp), whose socket peers come
+// from CITROEN_PEERS. CITROEN_DIST=1 without CITROEN_PEERS makes a gate
+// fork a small localhost fleet itself (LocalPeerFleet below) and export
+// its endpoints, so `CITROEN_DIST=1 ./ext_determinism` is self-contained.
+// Results are byte-identical with the peers on, off, dying mid-job, or
+// fully browned out — only where the pure work runs changes.
 
 #include <signal.h>
 #include <sys/wait.h>
@@ -21,13 +20,9 @@
 #include <vector>
 
 #include "dist/peer.hpp"
-#include "dist/pool.hpp"
-#include "sim/evaluator.hpp"
 #include "support/env.hpp"
 
 namespace citroen::bench {
-
-inline bool dist_enabled() { return support::env_flag("CITROEN_DIST"); }
 
 /// A fleet of forked localhost peers on Unix sockets under /tmp. The
 /// destructor SIGKILLs, reaps and unlinks — peers hold no state worth a
@@ -87,27 +82,17 @@ class LocalPeerFleet {
 };
 
 /// When CITROEN_DIST=1 and CITROEN_PEERS is unset, fork a local fleet
-/// and export its endpoints through CITROEN_PEERS so every DistEvaluator
+/// and export its endpoints through CITROEN_PEERS so every worker pool
 /// built later in the process finds it. Call once near the top of main;
 /// keep the returned fleet alive for the whole run.
 inline std::unique_ptr<LocalPeerFleet> make_local_fleet_if_needed(int n = 2) {
-  if (!dist_enabled() || std::getenv("CITROEN_PEERS") != nullptr)
+  if (!support::env_flag("CITROEN_DIST") ||
+      std::getenv("CITROEN_PEERS") != nullptr)
     return nullptr;
   auto fleet = std::make_unique<LocalPeerFleet>(n);
   if (fleet->endpoints().empty()) return nullptr;
   ::setenv("CITROEN_PEERS", fleet->endpoints_csv().c_str(), 1);
   return fleet;
-}
-
-/// Null when dist is disabled; callers fall back to `stack` itself.
-/// `stack` is the local rung the pool degrades to (sandboxed or plain),
-/// `bottom` the ProgramEvaluator where remote memos are installed.
-inline std::unique_ptr<dist::DistEvaluator> make_dist_if_enabled(
-    sim::Evaluator& stack, sim::ProgramEvaluator& bottom,
-    const std::string& machine, dist::DistConfig config = {}) {
-  if (!dist_enabled()) return nullptr;
-  config.spec = dist::make_program_spec(bottom, machine);
-  return std::make_unique<dist::DistEvaluator>(stack, bottom, config);
 }
 
 }  // namespace citroen::bench

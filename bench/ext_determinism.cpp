@@ -12,10 +12,10 @@
 #include "baselines/tuners.hpp"
 #include "bench/bench_common.hpp"
 #include "bench/dist_runner.hpp"
-#include "bench/sandbox_runner.hpp"
 #include "bench/tuner_runner.hpp"
 #include "bench_suite/suite.hpp"
 #include "citroen/tuner.hpp"
+#include "dist/pool.hpp"
 #include "sim/evaluator.hpp"
 #include "sim/faults.hpp"
 #include "sim/machine.hpp"
@@ -70,17 +70,12 @@ void batch_section(const std::string& program, const std::string& module) {
   sim::ProgramEvaluator eval(bench_suite::make_program(program),
                              sim::arm_a57_model());
   eval.set_thread_pool(&ThreadPool::global());
-  // CITROEN_SANDBOX=1 routes the batch through the vetting sandbox; CI
-  // byte-diffs this output against the sandbox-off run.
-  auto sandboxed = bench::make_sandbox_if_enabled(eval);
-  sim::Evaluator& local =
-      sandboxed ? static_cast<sim::Evaluator&>(*sandboxed)
-                : static_cast<sim::Evaluator&>(eval);
-  // CITROEN_DIST=1 farms the pure measurements to peers first; CI
-  // byte-diffs this output against the dist-off run too.
-  auto dist = bench::make_dist_if_enabled(local, eval, "arm");
-  sim::Evaluator& stack =
-      dist ? static_cast<sim::Evaluator&>(*dist) : local;
+  // CITROEN_SANDBOX=1 and CITROEN_DIST=1 route the batch through the
+  // worker pool's fork workers and peers; CI byte-diffs this output
+  // against the in-process run.
+  auto pool = dist::make_worker_pool(eval, "arm");
+  sim::Evaluator& stack = pool ? static_cast<sim::Evaluator&>(*pool)
+                               : static_cast<sim::Evaluator&>(eval);
   const auto batch = make_batch(module, 20);
   const auto outcomes = stack.evaluate_batch(batch);
   for (std::size_t i = 0; i < outcomes.size(); ++i)
@@ -103,15 +98,11 @@ void fault_section() {
   sim::ProgramEvaluator base(bench_suite::make_program("security_sha"),
                              sim::arm_a57_model());
   base.set_thread_pool(&ThreadPool::global());
-  auto sandboxed = bench::make_sandbox_if_enabled(base);
-  sim::Evaluator& local =
-      sandboxed ? static_cast<sim::Evaluator&>(*sandboxed)
-                : static_cast<sim::Evaluator&>(base);
-  // Under a fault injector the dist pool pauses itself (peers ignore
-  // fault plans); keeping the layer here proves that safety valve.
-  auto dist = bench::make_dist_if_enabled(local, base, "arm");
-  sim::Evaluator& stack_base =
-      dist ? static_cast<sim::Evaluator&>(*dist) : local;
+  // Under a fault injector the pool keeps jobs off its peers (they
+  // ignore fault plans); keeping the pool here proves that safety valve.
+  auto pool = dist::make_worker_pool(base, "arm");
+  sim::Evaluator& stack_base = pool ? static_cast<sim::Evaluator&>(*pool)
+                                    : static_cast<sim::Evaluator&>(base);
   sim::RobustEvaluator eval(stack_base, {}, &injector);
   const auto outcomes = eval.evaluate_batch(make_batch("sha", 20));
   for (std::size_t i = 0; i < outcomes.size(); ++i)
@@ -135,13 +126,9 @@ void citroen_section(const std::string& program, int budget) {
               program.c_str(), budget);
   sim::ProgramEvaluator eval(bench_suite::make_program(program),
                              sim::arm_a57_model());
-  auto sandboxed = bench::make_sandbox_if_enabled(eval);
-  sim::Evaluator& local =
-      sandboxed ? static_cast<sim::Evaluator&>(*sandboxed)
-                : static_cast<sim::Evaluator&>(eval);
-  auto dist = bench::make_dist_if_enabled(local, eval, "arm");
-  sim::Evaluator& stack =
-      dist ? static_cast<sim::Evaluator&>(*dist) : local;
+  auto pool = dist::make_worker_pool(eval, "arm");
+  sim::Evaluator& stack = pool ? static_cast<sim::Evaluator&>(*pool)
+                               : static_cast<sim::Evaluator&>(eval);
   core::CitroenTuner tuner(stack, bench::default_citroen_config(budget, 1));
   const auto res = tuner.run();
   print_vec("citroen/1", res.speedup_curve);

@@ -92,23 +92,23 @@ struct BaseEval {
   }
 };
 
-/// Run the batch through a DistEvaluator over `peers`, byte-compare
+/// Run the batch through a WorkerPool over `peers`, byte-compare
 /// against `reference`, and hand the pool to `inspect` for
 /// scenario-specific stat assertions.
 template <typename Inspect>
 void scenario(const char* name, const std::vector<std::string>& peers,
-              dist::DistConfig cfg, const std::string& reference,
+              dist::PoolConfig cfg, const std::string& reference,
               Inspect inspect) {
   std::printf("[%s]\n", name);
   BaseEval base;
   cfg.peers = peers;
   cfg.spec = dist::make_program_spec(base.eval, "arm");
-  dist::DistEvaluator pool(base.eval, base.eval, cfg);
+  dist::WorkerPool pool(base.eval, cfg);
   const auto got = render(pool.evaluate_batch(make_batch(12)));
   CHECK(got == reference, "%s: batch output diverged from in-process run",
         name);
   inspect(pool);
-  const auto& ds = pool.dist_stats();
+  const auto& ds = pool.stats();
   std::fprintf(stderr,
                "[%s] dispatched=%llu ok=%llu reassigned=%llu fallback=%llu "
                "lost=%llu timeout=%llu protocol=%llu bans=%llu degraded=%d\n",
@@ -135,8 +135,8 @@ int main() {
   {  // Two live peers; everything measured remotely, nothing lost.
     bench::LocalPeerFleet fleet(2);
     scenario("healthy pool", fleet.endpoints(), {}, reference,
-             [](const dist::DistEvaluator& p) {
-               const auto& ds = p.dist_stats();
+             [](const dist::WorkerPool& p) {
+               const auto& ds = p.stats();
                CHECK(ds.jobs_ok == 12, "all 12 jobs remote (got %llu)",
                      (unsigned long long)ds.jobs_ok);
                CHECK(ds.peer_lost + ds.peer_timeout + ds.peer_protocol == 0,
@@ -152,15 +152,15 @@ int main() {
     bench::LocalPeerFleet healthy(1);
     std::vector<std::string> peers = victim.endpoints();
     peers.push_back(healthy.endpoints()[0]);
-    dist::DistConfig cfg;
+    dist::PoolConfig cfg;
     cfg.connect_timeout_seconds = 0.5;
-    cfg.reconnect_backoff_seconds = 0.01;
+    cfg.backoff_seconds = 0.01;
     scenario("self kill", peers, cfg, reference,
-             [](const dist::DistEvaluator& p) {
-               CHECK(p.dist_stats().peer_lost >= 1,
+             [](const dist::WorkerPool& p) {
+               CHECK(p.stats().peer_lost >= 1,
                      "the mid-job SIGKILL must classify peer-lost");
-               CHECK(p.dist_stats().reassigned +
-                             p.dist_stats().local_fallback >=
+               CHECK(p.stats().reassigned +
+                             p.stats().local_fallback >=
                          1,
                      "the orphaned job must be reassigned or fall back");
              });
@@ -168,13 +168,13 @@ int main() {
 
   {  // The pool-side hook SIGKILLs the serving peer from outside.
     bench::LocalPeerFleet fleet(2);
-    dist::DistConfig cfg;
-    cfg.kill_peer_job_id = 3;
+    dist::PoolConfig cfg;
+    cfg.kill_job_id = 3;
     cfg.connect_timeout_seconds = 0.5;
-    cfg.reconnect_backoff_seconds = 0.01;
+    cfg.backoff_seconds = 0.01;
     scenario("external kill", fleet.endpoints(), cfg, reference,
-             [](const dist::DistEvaluator& p) {
-               CHECK(p.dist_stats().peer_lost >= 1,
+             [](const dist::WorkerPool& p) {
+               CHECK(p.stats().peer_lost >= 1,
                      "the external SIGKILL must classify peer-lost");
              });
   }
@@ -186,15 +186,15 @@ int main() {
     bench::LocalPeerFleet healthy(1);
     std::vector<std::string> peers = stuck.endpoints();
     peers.push_back(healthy.endpoints()[0]);
-    dist::DistConfig cfg;
+    dist::PoolConfig cfg;
     cfg.job_wall_timeout_seconds = 0.75;
     cfg.connect_timeout_seconds = 0.5;
     cfg.heartbeat_timeout_seconds = 0.5;
-    cfg.reconnect_backoff_seconds = 0.01;
+    cfg.backoff_seconds = 0.01;
     cfg.breaker_threshold = 2;
     scenario("hang", peers, cfg, reference,
-             [](const dist::DistEvaluator& p) {
-               CHECK(p.dist_stats().peer_timeout >= 1,
+             [](const dist::WorkerPool& p) {
+               CHECK(p.stats().peer_timeout >= 1,
                      "the hung job must classify peer-timeout");
              });
   }
@@ -206,13 +206,13 @@ int main() {
     bench::LocalPeerFleet healthy(1);
     std::vector<std::string> peers = noisy.endpoints();
     peers.push_back(healthy.endpoints()[0]);
-    dist::DistConfig cfg;
+    dist::PoolConfig cfg;
     cfg.connect_timeout_seconds = 0.5;
-    cfg.reconnect_backoff_seconds = 0.01;
+    cfg.backoff_seconds = 0.01;
     cfg.breaker_threshold = 2;
     scenario("garbage", peers, cfg, reference,
-             [](const dist::DistEvaluator& p) {
-               CHECK(p.dist_stats().peer_protocol >= 1,
+             [](const dist::WorkerPool& p) {
+               CHECK(p.stats().peer_protocol >= 1,
                      "garbage frames must classify peer-protocol");
              });
   }
@@ -224,13 +224,13 @@ int main() {
                   static_cast<int>(::getpid()));
     std::snprintf(bogus1, sizeof(bogus1), "/tmp/citroen_no_peer_%d_1.sock",
                   static_cast<int>(::getpid()));
-    dist::DistConfig cfg;
+    dist::PoolConfig cfg;
     cfg.connect_timeout_seconds = 0.2;
-    cfg.reconnect_backoff_seconds = 0.001;
+    cfg.backoff_seconds = 0.001;
     cfg.breaker_threshold = 2;
     scenario("brownout", {bogus0, bogus1}, cfg, reference,
-             [](const dist::DistEvaluator& p) {
-               const auto& ds = p.dist_stats();
+             [](const dist::WorkerPool& p) {
+               const auto& ds = p.stats();
                CHECK(p.degraded(), "dead endpoints must brown the pool out");
                CHECK(ds.brownouts == 1, "exactly one brownout");
                CHECK(ds.jobs_ok == 0, "no job can have run remotely");

@@ -42,10 +42,10 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
-#include "bench/sandbox_runner.hpp"
 #include "bench_suite/suite.hpp"
 #include "citroen/tuner.hpp"
 #include "dist/peer.hpp"
+#include "dist/pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "persist/run_session.hpp"
@@ -54,6 +54,7 @@
 #include "serve/wire.hpp"
 #include "sim/evaluator.hpp"
 #include "sim/machine.hpp"
+#include "support/env.hpp"
 
 using namespace citroen;
 
@@ -71,15 +72,14 @@ void check(bool ok, const char* what, const std::string& detail = "") {
   }
 }
 
-/// One small tuner run; the sandbox layer is inserted when
+/// One small tuner run; the worker pool is inserted when
 /// CITROEN_SANDBOX=1 so worker obs-delta streaming is exercised too.
 std::string run_curve(int budget) {
   sim::ProgramEvaluator base(bench_suite::make_program("telecom_gsm"),
                              sim::arm_a57_model());
-  auto sandboxed = bench::make_sandbox_if_enabled(base);
-  sim::Evaluator& eval = sandboxed
-                             ? static_cast<sim::Evaluator&>(*sandboxed)
-                             : static_cast<sim::Evaluator&>(base);
+  auto pool = dist::make_worker_pool(base, "arm");
+  sim::Evaluator& eval = pool ? static_cast<sim::Evaluator&>(*pool)
+                              : static_cast<sim::Evaluator&>(base);
   core::CitroenConfig cfg;
   cfg.budget = budget;
   cfg.initial_random = budget / 4;
@@ -115,7 +115,7 @@ void check_structure(int budget) {
                            "build", "measure"})
     check(names.count(want) != 0, "span taxonomy", std::string("missing '") +
                                                        want + "'");
-  if (bench::sandbox_enabled()) {
+  if (support::env_flag("CITROEN_SANDBOX")) {
     check(names.count("sandbox_job") != 0, "span taxonomy",
           "missing 'sandbox_job'");
     check(names.count("worker_spawn") != 0, "span taxonomy",

@@ -27,8 +27,8 @@
 
 #include "bench_suite/suite.hpp"
 #include "citroen/tuner.hpp"
+#include "dist/pool.hpp"
 #include "passes/pass.hpp"
-#include "sandbox/supervisor.hpp"
 #include "sim/evaluator.hpp"
 #include "sim/faults.hpp"
 #include "sim/machine.hpp"
@@ -79,15 +79,15 @@ bool is_worker_failure(sim::FailureKind k) {
 
 struct Stack {
   sim::ProgramEvaluator base;
-  sandbox::SandboxedEvaluator sandboxed;
+  dist::WorkerPool pool;
   sim::FaultInjector injector;
   sim::RobustEvaluator robust;
 
-  Stack(const sim::FaultPlan& plan, sandbox::SandboxConfig cfg)
+  Stack(const sim::FaultPlan& plan, dist::PoolConfig cfg)
       : base(bench_suite::make_program("security_sha"), sim::arm_a57_model()),
-        sandboxed(base, cfg),
+        pool(base, cfg),
         injector(plan),
-        robust(sandboxed, sim::RobustConfig{}, &injector) {
+        robust(pool, sim::RobustConfig{}, &injector) {
     base.set_thread_pool(&ThreadPool::global());
   }
 };
@@ -99,8 +99,8 @@ void single_class_section(const char* name, const sim::FaultPlan& plan,
                           sim::FailureKind expect, sim::FailureKind alt,
                           double wall_timeout) {
   std::printf("[%s containment]\n", name);
-  sandbox::SandboxConfig cfg;
-  cfg.workers = 2;
+  dist::PoolConfig cfg;
+  cfg.fork_workers = 2;
   cfg.breaker_threshold = 1000;  // this section tests containment, not it
   cfg.job_wall_timeout_seconds = wall_timeout;
   Stack st(plan, cfg);
@@ -113,14 +113,14 @@ void single_class_section(const char* name, const sim::FaultPlan& plan,
   CHECK(!out.why_invalid.empty(), "%s must carry a crash signature", name);
   CHECK(st.robust.is_quarantined(batch[0]),
         "%s candidate must be quarantined", name);
-  CHECK(!st.sandboxed.degraded(), "%s must not trip the breaker", name);
+  CHECK(!st.pool.degraded(), "%s must not trip the breaker", name);
 
-  // The evaluator must keep working: a clean stack over the same sandbox
+  // The evaluator must keep working: a clean stack over the same pool
   // (fault-free plan) evaluates the *other* candidate normally.
   sim::FaultPlan clean;
   sim::FaultInjector clean_injector(clean);
-  st.sandboxed.set_fault_injector(&clean_injector);
-  const auto ok = st.sandboxed.evaluate(batch[1]);
+  st.pool.set_fault_injector(&clean_injector);
+  const auto ok = st.pool.evaluate(batch[1]);
   CHECK(ok.valid, "%s: evaluator must survive the crash (got %s: %s)", name,
         sim::failure_kind_name(ok.failure), ok.why_invalid.c_str());
   std::printf("  contained=%d quarantined=%d still_serving=%d\n",
@@ -134,8 +134,8 @@ void mixed_section() {
   plan.seed = 42;
   plan.segv_rate = 0.10;
   plan.oom_rate = 0.05;
-  sandbox::SandboxConfig cfg;
-  cfg.workers = 2;
+  dist::PoolConfig cfg;
+  cfg.fork_workers = 2;
   cfg.breaker_threshold = 1000;
   Stack st(plan, cfg);
 
@@ -149,13 +149,13 @@ void mixed_section() {
       CHECK(!o.valid, "worker failure must be invalid");
     }
   }
-  const auto& ss = st.sandboxed.sandbox_stats();
+  const auto& ss = st.pool.stats();
   CHECK(valid + contained == static_cast<int>(outcomes.size()),
         "every outcome valid or contained (valid=%d contained=%d n=%zu)",
         valid, contained, outcomes.size());
   CHECK(contained > 0, "rates 0.10/0.05 over 30 candidates hit none");
   CHECK(valid > 0, "some candidates must survive");
-  CHECK(!st.sandboxed.degraded(), "mixed section must not trip the breaker");
+  CHECK(!st.pool.degraded(), "mixed section must not trip the breaker");
   CHECK(ss.worker_crashes + ss.jobs_oom ==
             static_cast<std::uint64_t>(contained),
         "stats mismatch: crashes=%llu ooms=%llu contained=%d",
@@ -169,8 +169,8 @@ void external_kill_section(std::uint64_t kill_seed) {
   std::printf("[external kill]\n");
   const int n = 16;
   sim::FaultPlan clean;  // no faults: the only death is the external kill
-  sandbox::SandboxConfig cfg;
-  cfg.workers = 2;
+  dist::PoolConfig cfg;
+  cfg.fork_workers = 2;
   cfg.kill_job_id = static_cast<std::int64_t>(kill_seed % n);
   Stack st(clean, cfg);
   std::fprintf(stderr, "[external kill] SIGKILL at job %lld\n",
@@ -191,11 +191,11 @@ void external_kill_section(std::uint64_t kill_seed) {
       ++valid;
     }
   }
-  const auto& ss = st.sandboxed.sandbox_stats();
+  const auto& ss = st.pool.stats();
   CHECK(crashed == 1, "exactly the killed job crashes (got %d)", crashed);
   CHECK(valid == n - 1, "all other candidates stay valid (got %d)", valid);
   CHECK(ss.respawns >= 1, "the killed worker must be respawned");
-  CHECK(!st.sandboxed.degraded(), "one kill must not trip the breaker");
+  CHECK(!st.pool.degraded(), "one kill must not trip the breaker");
 
   // Re-evaluating the batch: the victim is quarantined, the rest are
   // served without incident.
@@ -214,10 +214,10 @@ void breaker_section() {
   sim::FaultPlan plan;
   plan.seed = 7;
   plan.segv_rate = 1.0;  // every vetting job dies
-  sandbox::SandboxConfig cfg;
-  cfg.workers = 1;
+  dist::PoolConfig cfg;
+  cfg.fork_workers = 1;
   cfg.breaker_threshold = 3;
-  cfg.respawn_backoff_seconds = 0.001;
+  cfg.backoff_seconds = 0.001;
   Stack st(plan, cfg);
 
   const auto batch = make_batch("sha", 6);
@@ -231,15 +231,15 @@ void breaker_section() {
   // in-process evaluation, which never fires real faults — so the
   // remaining candidates come back valid. Containment is lost, progress
   // is not: the bottom rung of the degradation ladder.
-  CHECK(st.sandboxed.degraded(), "rate-1.0 crashes must trip the breaker");
-  CHECK(st.sandboxed.sandbox_stats().breaker_trips == 1, "one trip");
+  CHECK(st.pool.degraded(), "rate-1.0 crashes must trip the breaker");
+  CHECK(st.pool.stats().breaker_trips == 1, "one trip");
   CHECK(contained == cfg.breaker_threshold,
         "first %d candidates contained (got %d)", cfg.breaker_threshold,
         contained);
   CHECK(valid == static_cast<int>(batch.size()) - contained,
         "post-trip candidates evaluate in-process (valid=%d)", valid);
   std::printf("  tripped=%d contained=%d in_process_valid=%d\n",
-              st.sandboxed.degraded() ? 1 : 0, contained, valid);
+              st.pool.degraded() ? 1 : 0, contained, valid);
 }
 
 void tuner_section() {
@@ -248,8 +248,8 @@ void tuner_section() {
   plan.seed = 99;
   plan.segv_rate = 0.05;
   plan.oom_rate = 0.03;
-  sandbox::SandboxConfig cfg;
-  cfg.workers = 2;
+  dist::PoolConfig cfg;
+  cfg.fork_workers = 2;
   cfg.breaker_threshold = 1000;
   Stack st(plan, cfg);
 
@@ -265,10 +265,10 @@ void tuner_section() {
   double best = 0;
   for (double x : result.speedup_curve) best = std::max(best, x);
   CHECK(best > 0, "tuner must find at least one valid candidate");
-  CHECK(!st.sandboxed.degraded(), "tuner run must not trip the breaker");
+  CHECK(!st.pool.degraded(), "tuner run must not trip the breaker");
   std::printf("  curve_len=%zu best=%.4f degraded=%d\n",
               result.speedup_curve.size(), best,
-              st.sandboxed.degraded() ? 1 : 0);
+              st.pool.degraded() ? 1 : 0);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "bench_suite/suite.hpp"
 #include "citroen/features.hpp"
+#include "dist/pool.hpp"
 #include "gp/gp.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -19,7 +20,6 @@
 #include "persist/journaled_evaluator.hpp"
 #include "persist/run_session.hpp"
 #include "sandbox/ipc.hpp"
-#include "sandbox/supervisor.hpp"
 #include "sim/evaluator.hpp"
 #include "sim/machine.hpp"
 #include "sim/prefix_cache.hpp"
@@ -279,18 +279,18 @@ static void BM_JournalRawAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_JournalRawAppend);
 
-/// Cost of routing an evaluation through the out-of-process sandbox
-/// (sandbox=1) vs. calling the evaluator directly (sandbox=0): fork-pool
-/// dispatch, job/result IPC, and the supervisor's verdict bookkeeping.
+/// Cost of routing an evaluation through one fork worker of the worker
+/// pool (sandbox=1) vs. calling the evaluator directly (sandbox=0):
+/// dispatch, job/result IPC, and the pool's verdict bookkeeping.
 /// Fresh random sequences every iteration defeat the verdict memo, so
 /// every iteration pays one full worker round trip.
 static void BM_SandboxDispatchOverhead(benchmark::State& state) {
   const bool sandboxed = state.range(0) != 0;
   sim::ProgramEvaluator ev(bench_suite::make_program("security_sha"),
                            sim::arm_a57_model());
-  sandbox::SandboxConfig cfg;
-  cfg.workers = 1;
-  sandbox::SandboxedEvaluator sb(ev, cfg);
+  dist::PoolConfig cfg;
+  cfg.fork_workers = 1;
+  dist::WorkerPool sb(ev, cfg);
   sim::Evaluator& target = sandboxed ? static_cast<sim::Evaluator&>(sb)
                                      : static_cast<sim::Evaluator&>(ev);
 

@@ -21,10 +21,9 @@
 #include "baselines/tuners.hpp"
 #include "bench/bench_persist.hpp"
 #include "bench/corpus_runner.hpp"
-#include "bench/dist_runner.hpp"
-#include "bench/sandbox_runner.hpp"
 #include "bench_suite/suite.hpp"
 #include "citroen/tuner.hpp"
+#include "dist/pool.hpp"
 #include "persist/journaled_evaluator.hpp"
 #include "sim/faults.hpp"
 #include "sim/machine.hpp"
@@ -85,19 +84,14 @@ inline Vec run_tuner_job(const std::string& method, const std::string& program,
   sim::ProgramEvaluator base(bench_suite::make_program(program),
                              sim::machine_by_name(machine));
   if (cache) base.set_shared_prefix_cache(cache);
-  // With CITROEN_SANDBOX=1 every candidate is vetted out-of-process
-  // before the (byte-identical) in-process replay; the robust layer then
-  // quarantines Worker* verdicts like any deterministic failure.
-  auto sandboxed = make_sandbox_if_enabled(base);
-  sim::Evaluator& local_stack =
-      sandboxed ? static_cast<sim::Evaluator&>(*sandboxed)
-                : static_cast<sim::Evaluator&>(base);
-  // CITROEN_DIST=1 farms pure measurements to the peer pool first; the
-  // pool pauses itself while a fault injector is installed and degrades
-  // to `local_stack` on brownout, byte-identically either way.
-  auto dist = make_dist_if_enabled(local_stack, base, machine);
-  sim::Evaluator& stack_base =
-      dist ? static_cast<sim::Evaluator&>(*dist) : local_stack;
+  // With CITROEN_SANDBOX=1 (fork workers) or CITROEN_PEERS (socket
+  // peers) every candidate is vetted out of process before the
+  // byte-identical in-process replay; the robust layer then quarantines
+  // Worker* verdicts like any deterministic failure. Peers sit out while
+  // a fault injector is installed.
+  auto pool = dist::make_worker_pool(base, machine);
+  sim::Evaluator& stack_base = pool ? static_cast<sim::Evaluator&>(*pool)
+                                    : static_cast<sim::Evaluator&>(base);
   std::unique_ptr<sim::FaultInjector> injector;
   std::unique_ptr<sim::RobustEvaluator> robust;
   if (faults) {

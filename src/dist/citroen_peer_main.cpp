@@ -2,7 +2,7 @@
 //
 // Serves pure-evaluation jobs over a Unix or TCP socket using the
 // sandbox wire format (see src/dist/peer.hpp). A pool (citroend with
-// --peers, or any DistEvaluator) connects, sends a Hello naming the
+// --peers, or any WorkerPool) connects, sends a Hello naming the
 // program spec, and farms out measurement jobs; the peer holds no
 // order-sensitive state, so killing it mid-job never changes results.
 //

@@ -1,197 +1,195 @@
 #pragma once
-// Pool side of the distributed evaluation tier.
+// One worker pool, two transports.
 //
-// `DistEvaluator` decorates an evaluator stack with a pool of
-// socket-connected peer workers (dist/peer.hpp) speaking the sandbox
-// wire format (dist/wire.hpp). It lifts the supervisor playbook —
-// lazy connection, per-job wall deadlines, death classification,
-// circuit breaking, jittered-backoff retry — from forked pipe workers
-// to remote peers, and adds what remoteness requires: heartbeat
-// liveness probes, per-peer reconnect backoff, and job *reassignment*.
+// `WorkerPool` decorates a `sim::ProgramEvaluator` with an ordered list
+// of workers that run the pure part of an evaluation (pass pipelines and
+// interpreter runs, `ProgramEvaluator::pure_evaluate`) outside this
+// process. A worker is one of two transports, both speaking the same
+// CRC-framed Job/Result codec (sandbox/ipc.hpp, sandbox/protocol.hpp):
 //
-// The byte-identity contract differs from the sandbox's in one
-// deliberate way. A sandbox worker dying tells you something about the
-// *candidate* (it ran in a clean address space), so the supervisor
-// synthesizes a WorkerCrash verdict. A peer dying tells you nothing —
-// the SIGKILL, hang or garbage came from outside the candidate's
-// control — so the pool NEVER synthesizes outcomes. Every remote
-// failure (classified peer-lost / peer-timeout / peer-protocol) causes
-// the job to be reassigned to another live peer, bounded by
-// `max_attempts_per_job`; when attempts run out, or the whole pool
-// browns out (every peer banned by its circuit breaker), the job simply
-// falls through to the local stack — sandboxed if CITROEN_SANDBOX built
-// the stack that way, in-process otherwise. That is the degradation
-// ladder: remote -> sandboxed-local -> in-process, with identical final
-// output at every rung.
+//   - a socket peer (`citroen-peer`, dist/peer.hpp) for scale-out: a
+//     fingerprint-checked Hello handshake, heartbeats on idle links, and
+//     a clock offset that re-bases the peer's trace events;
+//   - a fork worker (sandbox/worker.hpp) for containment: rlimit caps, a
+//     wall-clock deadline, and a shared-mmap progress cell that names the
+//     pass active when the worker died.
 //
-// The only remote side effect is `install_measure_memo` on the bottom
-// ProgramEvaluator — the exact mechanism batch prefetch and the sandbox
-// already use — so order-sensitive state (fault-injector counters,
-// identical-binary cache, quarantine, accounting) advances precisely as
-// it would without the pool. Verdicts the sandbox layer earns stay
-// authoritative: the pool forwards every call to the stack below it and
-// never bypasses a layer.
+// Results always come from the in-process serial replay
+// (`base.evaluate`/`base.compile`) with the worker's interpreter runs
+// installed as a measure memo — the mechanism batch prefetch already
+// uses — so order-sensitive state (fault-injector counters, the
+// identical-binary cache, accounting) advances exactly as without the
+// pool, and output is byte-identical whichever worker ran a job, or none.
 //
-// Not thread-safe: one DistEvaluator belongs to one run thread, like
-// the SandboxedEvaluator it mirrors.
+// The policy, written once for both transports:
+//
+//   - One worker per job. Each unvetted candidate runs on exactly one
+//     worker. An Ok result installs the memo and is the candidate's
+//     verdict; a socket result other than Ok leaves it unvetted.
+//   - Blame. A fork worker's death (signal, exit, corrupt stream, blown
+//     deadline) blames the candidate it was running with a WorkerCrash,
+//     WorkerTimeout or WorkerOOM verdict, and that candidate never
+//     reaches the in-process path. A socket failure (peer-lost,
+//     peer-timeout, peer-protocol) blames nothing: the job is requeued,
+//     up to `max_attempts_per_job` socket attempts.
+//   - Ladder. Free workers take queued jobs in list order, sockets
+//     first. A job no socket could finish goes on to a fork worker; with
+//     no fork worker left it falls to the in-process path. Compile-only
+//     vetting skips sockets, and so does every job while a fault
+//     injector is installed (peers ignore fault plans).
+//   - Breaker. Every worker counts consecutive failures (a finished job
+//     resets the count) and is banned for the run at
+//     `breaker_threshold`. A dead fork worker is respawned after a
+//     jittered exponential backoff; a socket reconnects once its backoff
+//     gate has passed and a job is queued for it. Fatal verdicts stay
+//     authoritative after every fork worker is banned.
+//
+// Nothing is forked or connected before the first job is dispatched.
+// Not thread-safe: one pool belongs to one run thread, like the
+// ProgramEvaluator it wraps.
+
+#include <sys/types.h>
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "dist/wire.hpp"
 #include "sandbox/ipc.hpp"
+#include "sandbox/protocol.hpp"
 #include "sim/evaluator.hpp"
 
 namespace citroen::dist {
 
-struct DistConfig {
-  /// Peer endpoints: "unix:<path>" (or any string containing '/') for
-  /// Unix sockets, "tcp:<ip>:<port>" or "<ip>:<port>" for TCP. Empty
-  /// reads a comma-separated list from CITROEN_PEERS; still empty means
-  /// the pool is inert (everything runs on the local stack).
+struct PoolConfig {
+  /// Fork workers, clamped to [0, 16]. They overlap with CITROEN_THREADS
+  /// tuner threads, each of which owns its own pool.
+  int fork_workers = 0;
+  /// Socket peer endpoints: "unix:<path>" (or any string containing '/')
+  /// for Unix sockets, "tcp:<ip>:<port>" or "<ip>:<port>" for TCP.
   std::vector<std::string> peers;
-  /// Everything a peer needs to rebuild this evaluator (wire.hpp).
+  /// Everything a peer needs to rebuild the base evaluator (wire.hpp).
   ProgramSpec spec;
-  /// Wall-clock deadline per remote job; past it the connection is torn
-  /// down and the job reassigned (peer-timeout). <= 0 disables.
+  /// Wall-clock deadline per job; past it a fork worker is SIGKILLed
+  /// (WorkerTimeout) and a socket is torn down (peer-timeout, requeued).
+  /// <= 0 disables.
   double job_wall_timeout_seconds = 30.0;
-  /// Deadline for connect + Hello/HelloOk on one attempt.
+  /// Deadline for connect + Hello/HelloOk on one socket attempt.
   double connect_timeout_seconds = 5.0;
-  /// An idle connected peer is pinged after this long without traffic…
-  double heartbeat_interval_seconds = 5.0;
-  /// …and torn down (peer-timeout) if no Pong arrives within this.
+  /// An idle socket is pinged every few seconds and torn down
+  /// (peer-timeout) if no Pong arrives within this.
   double heartbeat_timeout_seconds = 2.0;
-  /// Distinct dispatch attempts per job before it falls back to the
-  /// local stack.
+  /// Socket attempts per job before it goes on down the ladder.
   int max_attempts_per_job = 3;
-  /// Consecutive failures that ban one peer for the rest of the run.
+  /// Consecutive failures that ban one worker for the rest of the run.
   int breaker_threshold = 3;
-  double reconnect_backoff_seconds = 0.05;     ///< first retry delay
-  double reconnect_backoff_max_seconds = 1.0;  ///< retry-delay ceiling
-  /// Reconnect delays are jittered (support::jittered_backoff) so N
-  /// pools dropped by one peer restart don't stampede it in lockstep.
-  double reconnect_jitter = 0.5;
-  /// Seed for the jitter stream; 0 derives one from pid + this-address.
-  std::uint64_t jitter_seed = 0;
-  /// TEST HOOK: SIGKILL the serving peer process (pid learned from
-  /// HelloOk — meaningful for localhost peers only) right after
-  /// dispatching the job with this id (-1 = never). Exercises the
-  /// external mid-job kill the ext_dist_containment gate asserts on.
-  std::int64_t kill_peer_job_id = -1;
+  double backoff_seconds = 0.05;     ///< first respawn / reconnect delay
+  double backoff_max_seconds = 1.0;  ///< delay ceiling
+  /// TEST HOOK: SIGKILL the process serving the job with this id right
+  /// after dispatching it (-1 = never): the fork worker, or the socket
+  /// peer whose pid arrived in HelloOk (localhost peers only).
+  std::int64_t kill_job_id = -1;
 };
 
-struct DistStats {
-  std::uint64_t connects = 0;        ///< successful Hello handshakes
-  std::uint64_t jobs_dispatched = 0; ///< job frames written (incl. retries)
-  std::uint64_t jobs_ok = 0;         ///< results accepted
-  std::uint64_t reassigned = 0;      ///< jobs re-dispatched after a failure
-  std::uint64_t local_fallback = 0;  ///< jobs that fell through to the stack
-  std::uint64_t peer_lost = 0;       ///< failures classified PeerLost
-  std::uint64_t peer_timeout = 0;    ///< failures classified PeerTimeout
-  std::uint64_t peer_protocol = 0;   ///< failures classified PeerProtocol
-  std::uint64_t bans = 0;            ///< peers banned by the breaker
-  std::uint64_t heartbeats = 0;      ///< pings sent
-  std::uint64_t brownouts = 0;       ///< 1 when the whole pool degraded
+struct PoolStats {
+  // Both transports.
+  std::uint64_t jobs_dispatched = 0;  ///< job frames written (incl. retries)
+  std::uint64_t jobs_ok = 0;          ///< Ok results installed as verdicts
+  std::uint64_t local_fallback = 0;   ///< jobs left to the in-process path
+  std::uint64_t bans = 0;             ///< workers banned by their breaker
+  std::uint64_t backoffs = 0;         ///< respawn / reconnect delays applied
+  // Fork workers.
+  std::uint64_t forks = 0;            ///< spawns, incl. respawns
+  std::uint64_t respawns = 0;         ///< spawns replacing a dead worker
+  std::uint64_t jobs_oom = 0;         ///< contained OOMs (WorkerOOM)
+  std::uint64_t worker_crashes = 0;   ///< deaths classified WorkerCrash
+  std::uint64_t worker_timeouts = 0;  ///< deaths classified WorkerTimeout
+  std::uint64_t breaker_trips = 0;    ///< 1 once every fork worker is banned
+  // Sockets.
+  std::uint64_t connects = 0;            ///< successful handshakes
   std::uint64_t reconnect_attempts = 0;  ///< connect tries (incl. retries)
-  std::uint64_t backoffs = 0;        ///< reconnect backoffs scheduled
+  std::uint64_t reassigned = 0;          ///< jobs requeued after a failure
+  std::uint64_t peer_lost = 0;
+  std::uint64_t peer_timeout = 0;
+  std::uint64_t peer_protocol = 0;
+  std::uint64_t brownouts = 0;           ///< 1 once every socket is banned
 };
 
-/// Builds a ProgramSpec matching `bottom` for benches/tests where the
-/// evaluator was constructed as ProgramEvaluator(make_program(name,
-/// seed), machine_by_name(machine)) — the convention every gate uses.
-ProgramSpec make_program_spec(const sim::ProgramEvaluator& bottom,
+/// Builds a ProgramSpec matching `base` for stacks whose evaluator was
+/// constructed as ProgramEvaluator(make_program(name, seed),
+/// machine_by_name(machine)) — the convention every gate uses.
+ProgramSpec make_program_spec(const sim::ProgramEvaluator& base,
                               const std::string& machine,
                               std::uint64_t workload_seed = 42);
 
-class DistEvaluator final : public sim::Evaluator {
- public:
-  /// `stack` is the evaluator this layer forwards to (the sandboxed or
-  /// plain local path — the next rung down the degradation ladder);
-  /// `bottom` is the ProgramEvaluator at the base of that stack, where
-  /// remote measurement memos are installed. When `stack` IS the bottom,
-  /// pass the same object twice.
-  DistEvaluator(sim::Evaluator& stack, sim::ProgramEvaluator& bottom,
-                DistConfig config);
-  ~DistEvaluator() override;
+/// Split a comma-separated endpoint list (the CITROEN_PEERS format).
+std::vector<std::string> parse_peer_list(const std::string& csv);
 
-  DistEvaluator(const DistEvaluator&) = delete;
-  DistEvaluator& operator=(const DistEvaluator&) = delete;
+class WorkerPool final : public sim::Evaluator {
+ public:
+  WorkerPool(sim::ProgramEvaluator& base, PoolConfig config);
+  ~WorkerPool() override;
+
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
 
   const ir::Program& base_program() const override {
-    return stack_.base_program();
+    return base_.base_program();
   }
   const std::string& program_name() const override {
-    return stack_.program_name();
+    return base_.program_name();
   }
-  double o3_cycles() const override { return stack_.o3_cycles(); }
-  double o0_cycles() const override { return stack_.o0_cycles(); }
+  double o3_cycles() const override { return base_.o3_cycles(); }
+  double o0_cycles() const override { return base_.o0_cycles(); }
   std::int64_t reference_output() const override {
-    return stack_.reference_output();
+    return base_.reference_output();
   }
   std::vector<std::pair<std::string, double>> hot_modules() const override {
-    return stack_.hot_modules();
+    return base_.hot_modules();
   }
   bool is_quarantined(const sim::SequenceAssignment& seqs) const override {
-    return stack_.is_quarantined(seqs);
+    return base_.is_quarantined(seqs);
   }
-  /// Remote dispatch pauses while an injector is installed: peers ignore
-  /// fault plans (real-fault injection is a sandbox concern), so a
-  /// remote memo would bypass the injected faults and change results.
-  /// The local stack below applies the injector exactly as ever.
-  void set_fault_injector(const sim::FaultInjector* injector) override {
-    injector_set_ = injector != nullptr;
-    stack_.set_fault_injector(injector);
-  }
+
+  /// Records the injector for fork job frames (workers re-derive its
+  /// real-fault decisions purely) and forwards it to the base.
+  void set_fault_injector(const sim::FaultInjector* injector) override;
 
   sim::CompileOutcome compile(const sim::SequenceAssignment& seqs,
-                              bool keep_program = false) const override {
-    return stack_.compile(seqs, keep_program);
-  }
-
-  /// Remote-measure the candidate (unless already vetted or the pool is
-  /// out), then run the byte-identical serial path on the stack below.
+                              bool keep_program = false) const override;
   sim::EvalOutcome evaluate(const sim::SequenceAssignment& seqs) override;
 
-  /// Farm the batch's pure measurements out across the peer pool with
-  /// pipelined dispatch and reassignment-on-failure, then forward the
-  /// whole batch to the stack below (which skips whatever was memoized).
+  /// Vet the whole batch across the pool (pipelined, one job in flight
+  /// per worker), then forward the survivors to the base prefetch.
+  /// Candidates with a fatal verdict are withheld from the base.
   void prefetch(std::span<const sim::SequenceAssignment> batch,
                 bool with_measure = true) override;
 
   double total_compile_seconds() const override {
-    return stack_.total_compile_seconds();
+    return base_.total_compile_seconds();
   }
   double total_measure_seconds() const override {
-    return stack_.total_measure_seconds();
+    return base_.total_measure_seconds();
   }
-  int num_compiles() const override { return stack_.num_compiles(); }
-  int num_measurements() const override { return stack_.num_measurements(); }
-  int num_cache_hits() const override { return stack_.num_cache_hits(); }
+  int num_compiles() const override { return base_.num_compiles(); }
+  int num_measurements() const override { return base_.num_measurements(); }
+  int num_cache_hits() const override { return base_.num_cache_hits(); }
 
-  /// Synchronous liveness sweep: ping every connected idle peer and reap
-  /// the ones that fail to Pong within heartbeat_timeout_seconds
-  /// (classified peer-timeout, connection torn down, reconnect backoff
-  /// applied). The batch loop runs this while waiting; exposed so tests
-  /// and long-idle callers can probe deterministically.
-  void probe_peers() const;
-
-  const DistStats& dist_stats() const { return stats_; }
-  /// Whole-pool brownout: every peer banned/unreachable; the pool is
-  /// permanently out for this run and everything runs on the stack.
-  bool degraded() const { return degraded_; }
-  /// Peers configured (after endpoint parsing), not necessarily alive.
-  int peer_count() const { return static_cast<int>(peers_.size()); }
-  /// Last handshake-measured clock offset for peer `i` (remote − local
-  /// CLOCK_MONOTONIC, ns; 0 before the first connect). Re-measured every
-  /// reconnect. Exposed for tests and the Inspect snapshot.
+  const PoolStats& stats() const { return stats_; }
+  /// Every worker is banned: everything now runs in-process.
+  bool degraded() const;
+  /// Socket peers configured, not necessarily alive.
+  int peer_count() const { return num_sockets_; }
+  /// Last handshake-measured clock offset of socket `i` (remote − local
+  /// CLOCK_MONOTONIC, ns; 0 before the first connect).
   std::int64_t peer_clock_offset_ns(int i) const {
-    return peers_[static_cast<std::size_t>(i)].clock_offset_ns;
+    return workers_[static_cast<std::size_t>(i)].clock_offset_ns;
   }
 
-  /// One row of peer-pool health for the Inspect snapshot.
+  /// One row of socket health for the Inspect snapshot.
   struct PeerHealth {
     std::string endpoint;
     bool connected = false;
@@ -202,79 +200,100 @@ class DistEvaluator final : public sim::Evaluator {
   std::vector<PeerHealth> peer_health() const;
 
  private:
-  struct Peer {
-    std::string endpoint;
-    int fd = -1;
+  enum class Kind : std::uint8_t { Socket, Fork };
+
+  struct Worker {
+    Kind kind = Kind::Fork;
+    std::uint32_t slot = 0;  ///< index among workers of its kind
+    std::string endpoint;    ///< sockets only
+    pid_t pid = 0;           ///< fork child, or the peer's pid from HelloOk
+    int fd = -1;             ///< result pipe, or the socket
+    int job_fd = -1;         ///< job pipe (fork workers only)
     std::unique_ptr<sandbox::FrameReader> reader;
-    std::uint64_t pid = 0;     ///< from HelloOk (0 = unknown)
-    /// Handshake-measured (remote − local) CLOCK_MONOTONIC offset, used
-    /// to re-base piggybacked peer trace events into our timeline.
-    std::int64_t clock_offset_ns = 0;
-    bool connected = false;
+    sandbox::ProgressCell* cell = nullptr;  ///< fork workers only
+    std::int64_t clock_offset_ns = 0;       ///< sockets only
+    bool live = false;
     bool banned = false;
-    int consecutive_failures = 0;
-    double next_attempt = 0;   ///< monotonic time gate for reconnects
-    double last_activity = 0;  ///< last frame in either direction
-    // In-flight job (busy) or outstanding ping (awaiting_pong):
-    bool busy = false;
-    std::size_t job = 0;       ///< index into the batch job vector
+    int failures = 0;         ///< consecutive; the breaker's count
+    double next_attempt = 0;  ///< monotonic gate for the next (re)start
+    double last_activity = 0;
+    std::ptrdiff_t job = -1;  ///< index into jobs_, -1 when idle
     std::uint64_t job_id = 0;
     double deadline = 0;
     bool awaiting_pong = false;
     double pong_deadline = 0;
   };
 
-  struct BatchJob {
-    const sim::SequenceAssignment* seqs = nullptr;
-    std::uint64_t sig = 0;
-    int attempts = 0;
-    bool done = false;
+  /// What the pool learned about a candidate signature. Fatal verdicts
+  /// (kind != None) apply to compile and evaluate alike; an Ok verdict
+  /// covers evaluate() only when `measured`.
+  struct Verdict {
+    sim::FailureKind kind = sim::FailureKind::None;
+    bool measured = false;
+    std::string why;
   };
 
-  bool try_connect(Peer& p) const;
-  void disconnect(Peer& p) const;
-  /// Export this peer's breaker state (connected / banned /
-  /// consecutive_failures) plus the pool-wide banned count as gauges.
-  /// Per-peer values are labeled children (peer="<index>") of one gauge
-  /// family each, so this hits the registry directly instead of the
-  /// static-caching OBS macros.
-  void publish_peer_metrics(const Peer& p) const;
-  /// Classify a failure on `p`, requeue/abandon its in-flight job, apply
-  /// reconnect backoff and the per-peer breaker.
-  void handle_peer_failure(Peer& p, sim::FailureKind kind,
-                           std::vector<BatchJob>& jobs,
-                           std::vector<std::size_t>& queue) const;
-  bool dispatch(Peer& p, std::size_t job_index, std::vector<BatchJob>& jobs,
-                std::vector<std::size_t>& queue, bool with_measure) const;
-  /// Drain one decoded frame from `p`. False => the peer failed.
-  bool service_frame(Peer& p, const std::string& payload,
-                     std::vector<BatchJob>& jobs,
-                     std::vector<std::size_t>& queue,
-                     std::size_t* completed) const;
-  /// Run the whole vetting batch across the pool. Returns normally even
-  /// on total brownout — unfinished jobs just stay un-memoized.
-  void run_batch(std::span<const sim::SequenceAssignment> batch,
-                 bool with_measure) const;
-  void brownout(const char* why) const;
-  bool pool_usable() const;
+  struct Job {
+    const sim::SequenceAssignment* seqs = nullptr;
+    std::uint64_t sig = 0;
+    int socket_attempts = 0;
+  };
 
-  sim::Evaluator& stack_;
-  sim::ProgramEvaluator& bottom_;
-  DistConfig config_;
+  bool start(Worker& w) const;
+  bool spawn(Worker& w) const;
+  bool connect(Worker& w) const;
+  /// Close the worker's fds and progress cell, SIGKILLing and reaping a
+  /// fork child not yet reaped.
+  void teardown(Worker& w) const;
+  /// Settle a failed worker: blame or requeue its in-flight job, tear it
+  /// down, then ban it or schedule its restart.
+  void fail(Worker& w, sim::FailureKind kind, const std::string& extra) const;
+  void blame_fork_death(Worker& w, bool timed_out,
+                        const std::string& extra) const;
+  void count_socket_failure(Worker& w, sim::FailureKind kind) const;
+  void ban(Worker& w) const;
+  void publish_peer_metrics(const Worker& w) const;
 
-  // Dispatch state is logically part of a const vetting query, hence
-  // mutable (same shape as SandboxedEvaluator).
-  mutable std::vector<Peer> peers_;
-  mutable std::unordered_set<std::uint64_t> vetted_;
-  mutable DistStats stats_;
+  bool takes(const Worker& w, const Job& job) const;
+  void dispatch(Worker& w, std::size_t job_index) const;
+  /// Drain every complete frame the worker has sent.
+  void service(Worker& w) const;
+  void finish(Worker& w, sandbox::SandboxResult res) const;
+
+  void remember(std::uint64_t sig, Verdict v) const;
+  const Verdict* find_verdict(std::uint64_t sig, bool need_measured) const;
+  /// The candidate's verdict, vetting it first when it has none.
+  const Verdict* vet(const sim::SequenceAssignment& seqs,
+                     bool with_measure) const;
+  /// Vet every candidate in `batch` that lacks a (sufficient) verdict.
+  void run_jobs(std::span<const sim::SequenceAssignment> batch,
+                bool with_measure) const;
+
+  sim::ProgramEvaluator& base_;
+  PoolConfig config_;
+  const sim::FaultInjector* injector_ = nullptr;
+  int num_sockets_ = 0;
+
+  // Dispatch state is logically part of a const vetting query
+  // (compile() is const in the Evaluator interface), hence mutable.
+  mutable std::vector<Worker> workers_;  ///< sockets first, then forks
+  mutable std::unordered_map<std::uint64_t, Verdict> verdicts_;
+  mutable std::vector<Job> jobs_;         ///< the batch being vetted
+  mutable std::deque<std::size_t> queue_; ///< jobs_ indices not in flight
+  mutable bool measure_ = true;  ///< the batch's jobs build and measure
+  mutable bool sockets_ = true;  ///< the batch may use sockets
+  mutable PoolStats stats_;
   mutable std::uint64_t next_job_id_ = 0;
-  mutable std::uint64_t jitter_state_ = 0;
   mutable std::uint64_t ping_nonce_ = 0;
-  mutable bool degraded_ = false;
-  bool injector_set_ = false;
+  mutable std::uint64_t jitter_state_ = 0;  ///< splitmix64 jitter stream
 };
 
-/// Split a comma-separated endpoint list (the CITROEN_PEERS format).
-std::vector<std::string> parse_peer_list(const std::string& csv);
+/// The pool an evaluator stack builds: CITROEN_SANDBOX=1 adds
+/// CITROEN_SANDBOX_WORKERS fork workers (default 2), and socket peers
+/// come from `peers`, or from CITROEN_PEERS when `peers` is empty. Null
+/// when neither transport is configured: callers use `base` itself.
+std::unique_ptr<WorkerPool> make_worker_pool(
+    sim::ProgramEvaluator& base, const std::string& machine,
+    const std::vector<std::string>& peers = {});
 
 }  // namespace citroen::dist

@@ -30,7 +30,7 @@
 //   Pong     (peer -> pool): u64 nonce echo.
 //
 // No second wire format: a Job/Result body is byte-for-byte what the
-// sandbox supervisor would write down a worker pipe.
+// pool writes down a fork worker's pipe.
 
 #include <cstdint>
 #include <string>

@@ -192,11 +192,6 @@ void register_atexit_once() {
 /// anything else -> on, value is the output path.
 const bool g_env_init = [] {
   g_pid = static_cast<std::uint32_t>(::getpid());
-  if (const char* cap = std::getenv("CITROEN_TRACE_SINK_CAP")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(cap, &end, 10);
-    if (end != cap && v > 0) g_sink_cap.store(v, std::memory_order_relaxed);
-  }
   const char* env = std::getenv("CITROEN_TRACE");
   if (!env || !*env || std::strcmp(env, "0") == 0) return true;
   trace_path_ref() =

@@ -119,8 +119,8 @@ void ingest_event(const TraceEvent& ev);
 /// skew sign or magnitude.
 std::uint64_t apply_clock_offset(std::uint64_t ts_ns, std::int64_t offset_ns);
 
-/// Events discarded because the global sink hit its capacity
-/// (CITROEN_TRACE_SINK_CAP, default 1M events). Rings never overwrite:
+/// Events discarded because the global sink hit its capacity (1M
+/// events). Rings never overwrite:
 /// a full ring spills to the sink, and the sink drops-newest at cap, so
 /// a torn or half-overwritten event is impossible by construction.
 std::uint64_t trace_dropped();

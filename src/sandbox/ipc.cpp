@@ -5,7 +5,6 @@
 #include <time.h>
 #include <unistd.h>
 
-#include <cstdlib>
 #include <cstring>
 
 #include "persist/codec.hpp"
@@ -22,16 +21,6 @@ std::uint32_t load_u32le(const char* p) {
 }
 
 }  // namespace
-
-std::uint32_t max_frame_payload() {
-  if (const char* v = std::getenv("CITROEN_IPC_MAX_FRAME")) {
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(v, &end, 10);
-    if (end != v && *end == '\0' && n >= (64ull << 10) && n <= (1ull << 30))
-      return static_cast<std::uint32_t>(n);
-  }
-  return kMaxFramePayload;
-}
 
 double monotonic_seconds() {
   timespec ts{};
@@ -58,18 +47,17 @@ DecodeStatus FrameDecoder::next(std::string* payload, std::string* error) {
   const char* head = buf_.data() + pos_;
   const std::uint32_t len = load_u32le(head);
   const std::uint32_t want_crc = load_u32le(head + 4);
-  const std::uint32_t cap = max_frame_payload();
-  if (len > cap) {
+  if (len > kMaxFramePayload) {
     // Spell out both numbers: a 3.2 GB "length" in the log means a
     // bit-flipped header, a length just past the cap means a legitimate
-    // oversized frame that needs CITROEN_IPC_MAX_FRAME raised. Without
-    // them the two failure modes are indistinguishable.
+    // frame that outgrew it. Without them the two failure modes are
+    // indistinguishable.
     poisoned_ = true;
     if (error)
       *error = "frame length " + std::to_string(len) + " exceeds the " +
-               std::to_string(cap) +
-               "-byte cap (torn or bit-flipped header, or raise "
-               "CITROEN_IPC_MAX_FRAME for oversized frames)";
+               std::to_string(kMaxFramePayload) +
+               "-byte cap (torn or bit-flipped header, or an oversized "
+               "frame)";
     return DecodeStatus::Corrupt;
   }
   if (avail < kFrameHeaderBytes + len) return DecodeStatus::NeedMore;
@@ -103,7 +91,7 @@ const char* io_status_name(IoStatus s) {
 }
 
 IoStatus write_frame(int fd, std::string_view payload) {
-  if (payload.size() > max_frame_payload()) return IoStatus::Error;
+  if (payload.size() > kMaxFramePayload) return IoStatus::Error;
   const std::string frame = encode_frame(payload);
   std::size_t off = 0;
   while (off < frame.size()) {

@@ -1,6 +1,7 @@
 #pragma once
-// CRC-framed length-prefixed pipe IPC between the sandbox supervisor and
-// its forked workers.
+// CRC-framed length-prefixed pipe IPC between the worker pool
+// (dist/pool.hpp, the supervisor) and its forked workers; peer sockets
+// and the serving daemon reuse the same frames.
 //
 // Frame layout (all little-endian, mirroring the journal's record frame
 // in persist/journal.hpp):
@@ -26,17 +27,10 @@
 
 namespace citroen::sandbox {
 
-/// Default ceiling on a frame payload. Real payloads are a few KB; a
-/// length word beyond the cap is treated as corruption (a torn/flipped
-/// header), so the decoder can fail fast instead of waiting for 4 GB.
+/// Ceiling on a frame payload. Real payloads are a few KB; a length word
+/// beyond the cap is treated as corruption (a torn/flipped header), so
+/// the decoder can fail fast instead of waiting for 4 GB.
 inline constexpr std::uint32_t kMaxFramePayload = 64u << 20;
-
-/// Effective frame-payload cap: `CITROEN_IPC_MAX_FRAME` (bytes, clamped
-/// to [64 KB, 1 GB]) when set and parsable, else `kMaxFramePayload`.
-/// The serving daemon raises it for large multi-module job frames; the
-/// env var is consulted on every call so a process (or test) that sets
-/// it before opening a stream gets the new cap immediately.
-std::uint32_t max_frame_payload();
 
 /// Bytes of framing overhead per message.
 inline constexpr std::size_t kFrameHeaderBytes = 8;

@@ -1,8 +1,9 @@
 #pragma once
-// Wire protocol between the sandbox supervisor and its workers, layered
-// on the ipc.hpp frame transport. Payloads use the persist codec, so the
-// doubles inside interpreter runs cross the process boundary bit-exactly
-// — a prerequisite for the sandbox's byte-identity guarantee.
+// Wire protocol between the worker pool (dist/pool.hpp, the supervisor)
+// and its workers, layered on the ipc.hpp frame transport. Payloads use
+// the persist codec, so the doubles inside interpreter runs cross the
+// process boundary bit-exactly — a prerequisite for the pool's
+// byte-identity guarantee.
 //
 // Job frame (supervisor -> worker):
 //   u8  kind          (JobKind)
@@ -105,8 +106,8 @@ bool decode_result(const std::string& payload, SandboxResult* res,
 
 // ---- obs appendix helpers -------------------------------------------------
 // Shared by every process pair that ships obs state over a Result frame:
-// sandbox supervisor <- worker, and dist pool <- peer (which reuses the
-// same SandboxResult codec).
+// the worker pool <- a fork worker, and the pool <- a peer (which reuses
+// the same SandboxResult codec).
 
 /// Record current counter values as the delta baseline. Child processes
 /// call this once after fork/startup so the first result frame ships

@@ -99,10 +99,13 @@ void apply_job_cpu_limit(double budget_seconds) {
   }
 }
 
+/// The injected crash: a real SIGSEGV with the default disposition, so
+/// the worker dies by the signal in every build. (A null store would do
+/// in a plain build, but UBSan stops it first and the worker exits 1.)
 [[noreturn]] void die_segv() {
-  volatile int* null = nullptr;
-  *null = 42;           // the actual injected crash
-  ::_exit(127);         // unreachable; keeps [[noreturn]] honest
+  ::signal(SIGSEGV, SIG_DFL);
+  ::raise(SIGSEGV);
+  ::_exit(127);  // unreachable; keeps [[noreturn]] honest
 }
 
 /// Allocate-and-touch until the allocator gives up. With RLIMIT_AS set

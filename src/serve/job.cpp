@@ -12,11 +12,9 @@
 #include "persist/codec.hpp"
 #include "persist/journaled_evaluator.hpp"
 #include "persist/run_session.hpp"
-#include "sandbox/supervisor.hpp"
 #include "sim/evaluator.hpp"
 #include "sim/machine.hpp"
 #include "sim/prefix_cache.hpp"
-#include "support/env.hpp"
 
 namespace citroen::serve {
 
@@ -51,12 +49,11 @@ namespace detail {
 
 /// The evaluator/tuner stack behind one job. Member order is the
 /// destruction contract: tuners die before the journaled evaluator,
-/// which dies before the session, which dies before the dist pool, the
-/// sandbox and the base evaluator.
+/// which dies before the session, which dies before the worker pool and
+/// the base evaluator.
 struct JobStack {
   std::unique_ptr<sim::ProgramEvaluator> base;
-  std::unique_ptr<sandbox::SandboxedEvaluator> sandboxed;
-  std::unique_ptr<dist::DistEvaluator> dist;
+  std::unique_ptr<dist::WorkerPool> pool;
   std::unique_ptr<persist::RunSession> session;
   std::unique_ptr<persist::JournaledEvaluator> jeval;
   std::unique_ptr<core::CitroenTuner> citroen;
@@ -158,23 +155,12 @@ TuningJob::TuningJob(JobRecord record, const std::string& state_dir,
         *corpus_, *s.base, record_.spec.machine,
         core::select_hot_modules(*s.base, citroen_config_for(record_.spec)));
   }
-  // Same opt-in as the bench runners: CITROEN_SANDBOX=1 vets every
-  // candidate out-of-process first; results stay byte-identical.
-  if (support::env_flag("CITROEN_SANDBOX"))
-    s.sandboxed = std::make_unique<sandbox::SandboxedEvaluator>(*s.base);
-  sim::Evaluator& local =
-      s.sandboxed ? static_cast<sim::Evaluator&>(*s.sandboxed)
-                  : static_cast<sim::Evaluator&>(*s.base);
-  // The dist pool decorates the local stack; an empty / browned-out pool
-  // is inert, so results are byte-identical either way.
-  if (!dist_peers.empty() || support::env_flag("CITROEN_DIST")) {
-    dist::DistConfig dcfg;
-    dcfg.peers = dist_peers;  // empty consults CITROEN_PEERS
-    dcfg.spec = dist::make_program_spec(*s.base, record_.spec.machine);
-    s.dist = std::make_unique<dist::DistEvaluator>(local, *s.base, dcfg);
-  }
-  sim::Evaluator& inner =
-      s.dist ? static_cast<sim::Evaluator&>(*s.dist) : local;
+  // Same opt-ins as the bench runners: CITROEN_SANDBOX=1 vets every
+  // candidate in fork workers, peers take measurements remotely; results
+  // stay byte-identical either way.
+  s.pool = dist::make_worker_pool(*s.base, record_.spec.machine, dist_peers);
+  sim::Evaluator& inner = s.pool ? static_cast<sim::Evaluator&>(*s.pool)
+                                 : static_cast<sim::Evaluator&>(*s.base);
 
   persist::SessionConfig scfg;
   scfg.dir = state_dir;
@@ -221,8 +207,8 @@ std::uint64_t TuningJob::evals_done() const {
   return stack_ && stack_->session ? stack_->session->next_index() : done_;
 }
 
-const dist::DistEvaluator* TuningJob::dist_pool() const {
-  return stack_ ? stack_->dist.get() : nullptr;
+const dist::WorkerPool* TuningJob::worker_pool() const {
+  return stack_ ? stack_->pool.get() : nullptr;
 }
 
 void TuningJob::save_checkpoint(bool complete) {
@@ -289,12 +275,9 @@ void TuningJob::cancel(const std::string& state_dir) {
 Vec serial_replay(const JobSpec& spec) {
   sim::ProgramEvaluator base(bench_suite::make_program(spec.program),
                              sim::machine_by_name(spec.machine));
-  std::unique_ptr<sandbox::SandboxedEvaluator> sandboxed;
-  if (support::env_flag("CITROEN_SANDBOX"))
-    sandboxed = std::make_unique<sandbox::SandboxedEvaluator>(base);
-  sim::Evaluator& eval = sandboxed
-                             ? static_cast<sim::Evaluator&>(*sandboxed)
-                             : static_cast<sim::Evaluator&>(base);
+  const auto pool = dist::make_worker_pool(base, spec.machine);
+  sim::Evaluator& eval = pool ? static_cast<sim::Evaluator&>(*pool)
+                              : static_cast<sim::Evaluator&>(base);
   if (spec.method == "citroen") {
     core::CitroenTuner tuner(eval, citroen_config_for(spec));
     return tuner.run().speedup_curve;

@@ -31,7 +31,7 @@ class PrefixCache;
 }
 
 namespace citroen::dist {
-class DistEvaluator;
+class WorkerPool;
 }
 
 namespace citroen::serve {
@@ -68,10 +68,10 @@ class TuningJob {
   /// reject at submit time and a Failed result at resume time.
   /// `shared_cache` is the daemon-wide prefix cache (pure memoization:
   /// sharing it across jobs changes wall clock only, never results).
-  /// `dist_peers` names remote evaluation peers (dist/pool.hpp) the stack
-  /// farms pure measurements to; empty consults CITROEN_DIST /
-  /// CITROEN_PEERS, and a pool that browns out degrades to the local
-  /// stack with byte-identical results.
+  /// `dist_peers` names remote evaluation peers (dist/pool.hpp) the
+  /// job's worker pool farms pure measurements to; empty consults
+  /// CITROEN_PEERS. CITROEN_SANDBOX=1 adds fork workers to the same pool.
+  /// Results are byte-identical with or without either transport.
   /// `corpus` is the daemon-wide transfer corpus: a fresh citroen job
   /// looks up its hot modules' signatures at construction (the resolved
   /// advice lands in record().advice — persist it with save_job_record),
@@ -109,9 +109,10 @@ class TuningJob {
   std::uint64_t evals_done() const;
   std::uint64_t budget() const { return record_.spec.budget; }
 
-  /// The job's dist peer pool, or null when the stack is local-only (or
-  /// already torn down). The Inspect snapshot reads peer health from it.
-  const dist::DistEvaluator* dist_pool() const;
+  /// The job's worker pool, or null when the stack is in-process only
+  /// (or already torn down). The Inspect snapshot reads peer health from
+  /// it.
+  const dist::WorkerPool* worker_pool() const;
 
   /// Valid once terminal (Done: final curve; Cancelled: best-so-far).
   const Vec& curve() const { return curve_; }

@@ -72,7 +72,7 @@ sim::PrefixCacheConfig cache_config_for(const ServerConfig& cfg) {
   return c;
 }
 
-std::vector<PeerSnap> snap_peers(const dist::DistEvaluator& pool) {
+std::vector<PeerSnap> snap_peers(const dist::WorkerPool& pool) {
   std::vector<PeerSnap> out;
   for (const auto& h : pool.peer_health()) {
     PeerSnap p;
@@ -446,7 +446,7 @@ bool Server::handle_frame(Conn& c, const std::string& payload) {
   rej.reason = RejectReason::BadRequest;
   rej.message = err.empty() ? "malformed frame" : err;
   send(c, encode(rej));
-  return false;  // a confused peer is dropped, like the sandbox supervisor
+  return false;  // a confused peer is dropped, like the worker pool does
 }
 
 bool Server::maybe_serve_http(Conn& c) {
@@ -570,7 +570,7 @@ InspectOkMsg Server::build_inspect(bool include_flight) const {
   // captured health (step_one keeps it fresh) still describes the peers.
   out.peers = last_peer_health_;
   for (const auto& [id, job] : jobs_) {
-    const dist::DistEvaluator* pool = job->dist_pool();
+    const dist::WorkerPool* pool = job->worker_pool();
     if (!pool) continue;
     out.peers = snap_peers(*pool);
     break;
@@ -653,7 +653,7 @@ void Server::step_one() {
     obs::Registry::instance()
         .counter("citroend_tenant_evals_total", "tenant", job.record().tenant)
         .add(cost);
-  if (const dist::DistEvaluator* pool = job.dist_pool())
+  if (const dist::WorkerPool* pool = job.worker_pool())
     last_peer_health_ = snap_peers(*pool);
   if (job.terminal())
     finish_job(job);

@@ -60,8 +60,8 @@ struct ServerConfig {
   /// back to $CITROEN_CACHE_DIR; still empty keeps the cache RAM-only.
   std::string cache_dir;
   /// Remote evaluation peers (dist/pool.hpp endpoint syntax) every job's
-  /// evaluator stack farms measurements to. Empty falls back to
-  /// $CITROEN_PEERS when CITROEN_DIST=1; still empty stays local.
+  /// worker pool farms measurements to. Empty falls back to
+  /// $CITROEN_PEERS; still empty stays local.
   std::vector<std::string> peers;
   /// Directory of the cross-program transfer corpus (corpus/corpus.hpp):
   /// fresh citroen jobs warm-start from it, finished ones append their

@@ -6,13 +6,12 @@
 // Reader the journal, checkpoints and sandbox job/result frames use)
 // wrapped in the sandbox/ipc CRC32 length-prefixed frame — so the serving
 // socket inherits the pipe transport's torn-read, bit-flip and oversized-
-// frame handling (including the CITROEN_IPC_MAX_FRAME cap override) for
-// free, and property tests written against FrameDecoder cover the daemon
-// too.
+// frame handling for free, and property tests written against
+// FrameDecoder cover the daemon too.
 //
 // Every message starts with a u8 MsgType tag. A malformed payload decodes
-// to false and the peer is dropped, mirroring the sandbox supervisor's
-// "never trust a confused peer" rule.
+// to false and the peer is dropped, mirroring the worker pool's "never
+// trust a confused peer" rule.
 //
 // Backpressure is typed: an over-quota or mid-drain submission is
 // answered with a Reject frame carrying a machine-readable RejectReason

@@ -69,7 +69,7 @@ enum class FailureKind {
   Miscompile,     ///< differential test failed (any workload)
   NoisyRejected,  ///< measurement spread too large to trust (robust layer)
   Verifier,       ///< IR verifier rejected the optimised module
-  // Sandbox-layer classes (sandbox/supervisor.hpp). Append-only: the
+  // Fork-worker classes (dist/pool.hpp). Append-only: the
   // enum is serialized as a u8 in journals and checkpoints.
   WorkerCrash,    ///< evaluation killed its sandbox worker (signal/exit)
   WorkerTimeout,  ///< evaluation blew its wall/CPU deadline in the sandbox

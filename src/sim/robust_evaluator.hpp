@@ -4,7 +4,8 @@
 // survive a noisy embedded board (the paper's Jetson TX2 target).
 //
 // On top of an inner Evaluator (a plain ProgramEvaluator, or a
-// sandbox::SandboxedEvaluator that contains real process deaths) it adds:
+// dist::WorkerPool whose fork workers contain real process deaths) it
+// adds:
 //   - bounded retry with (simulated) backoff for transient failures,
 //   - a quarantine set of assignment signatures that failed
 //     deterministically, so the search never re-pays for a known-bad

@@ -1,10 +1,10 @@
 #pragma once
 // Shared retry/backoff arithmetic.
 //
-// Three independent subsystems sleep-and-retry against correlated
-// failure: the sandbox supervisor respawning dead workers, the serving
-// client resubmitting after daemon restarts, and the dist pool
-// reconnecting to lost peers. Each used to carry its own splitmix64 +
+// Two independent subsystems sleep-and-retry against correlated
+// failure: the worker pool respawning dead fork workers and reconnecting
+// to lost peers, and the serving client resubmitting after daemon
+// restarts. Each used to carry its own splitmix64 +
 // jitter formula; this header is the single unit-tested implementation
 // all of them draw from. Results never depend on these values — jitter
 // only stretches sleeps — so the stream seed is free to differ per site.
@@ -51,8 +51,8 @@ inline double full_jitter_backoff(int attempt, double initial_seconds,
   return cap * (0.1 + 0.9 * uniform_unit(state));
 }
 
-/// Fixed-ratio exponential ladder with proportional jitter — the
-/// supervisor/peer respawn schedule: delay for the k-th consecutive
+/// Fixed-ratio exponential ladder with proportional jitter — the worker
+/// pool's respawn/reconnect schedule: delay for the k-th consecutive
 /// failure (k >= 1) is min(max, base * 2^(k-1)) stretched by
 /// jittered_backoff.
 inline double respawn_backoff(int consecutive_failures, double base_seconds,

@@ -1,14 +1,16 @@
 // Unit tests for the distributed evaluation tier (src/dist/): the wire
-// codec, endpoint parsing, evaluator fingerprinting, and a DistEvaluator
-// driving one real forked peer — plus the graceful-degradation path when
-// no peer is reachable. The adversarial scenarios (mid-job SIGKILL,
-// hangs, garbage frames) live in bench/ext_dist_containment.cpp.
+// codec, endpoint parsing, evaluator fingerprinting, and a WorkerPool
+// driving one real forked peer — alone and next to a fork worker — plus
+// the graceful-degradation path when no peer is reachable. The
+// adversarial scenarios (mid-job SIGKILL, hangs, garbage frames) live in
+// bench/ext_dist_containment.cpp.
 
 #include <gtest/gtest.h>
 
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -184,7 +186,7 @@ TEST(DistPool, MakeProgramSpecMirrorsEvaluator) {
   EXPECT_EQ(spec.max_call_depth, eval.exec_limits().max_call_depth);
 }
 
-// ---- DistEvaluator end to end ----------------------------------------------
+// ---- WorkerPool end to end -------------------------------------------------
 
 TEST(DistEvaluator, RemoteEvaluationMatchesLocalByteForByte) {
   ScopedPeer peer;
@@ -194,18 +196,52 @@ TEST(DistEvaluator, RemoteEvaluationMatchesLocalByteForByte) {
                               sim::machine_by_name("arm"));
   sim::ProgramEvaluator bottom(bench_suite::make_program("security_sha"),
                                sim::machine_by_name("arm"));
-  dist::DistConfig cfg;
+  dist::PoolConfig cfg;
   cfg.peers = {peer.path};
   cfg.spec = dist::make_program_spec(bottom, "arm");
-  dist::DistEvaluator pool(bottom, bottom, cfg);
+  dist::WorkerPool pool(bottom, cfg);
 
   for (int i = 0; i < 3; ++i) {
     const auto want = plain.evaluate(candidate(i));
     const auto got = pool.evaluate(candidate(i));
     expect_same_outcome(got, want, "remote vs local");
   }
-  EXPECT_GE(pool.dist_stats().jobs_ok, 1u);
-  EXPECT_EQ(pool.dist_stats().local_fallback, 0u);
+  EXPECT_GE(pool.stats().jobs_ok, 1u);
+  EXPECT_EQ(pool.stats().local_fallback, 0u);
+  EXPECT_FALSE(pool.degraded());
+}
+
+TEST(WorkerPool, BothTransportsEvaluateEachCandidateOnce) {
+  // One fork worker and one live peer in one pool: each distinct
+  // candidate runs on exactly one of them, and every outcome matches
+  // plain evaluation bit for bit.
+  ScopedPeer peer;
+  ASSERT_GT(peer.pid, 0);
+
+  sim::ProgramEvaluator plain(bench_suite::make_program("security_sha"),
+                              sim::machine_by_name("arm"));
+  sim::ProgramEvaluator bottom(bench_suite::make_program("security_sha"),
+                               sim::machine_by_name("arm"));
+  dist::PoolConfig cfg;
+  cfg.fork_workers = 1;
+  cfg.peers = {peer.path};
+  cfg.spec = dist::make_program_spec(bottom, "arm");
+  dist::WorkerPool pool(bottom, cfg);
+
+  std::vector<sim::SequenceAssignment> batch;
+  for (int i = 0; i < 8; ++i) batch.push_back(candidate(i));
+  std::set<std::uint64_t> distinct;
+  for (const auto& a : batch) distinct.insert(sim::assignment_signature(a));
+  const auto got = pool.evaluate_batch(batch);
+  ASSERT_EQ(got.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    expect_same_outcome(got[i], plain.evaluate(batch[i]), "both transports");
+  EXPECT_EQ(pool.num_measurements(), plain.num_measurements());
+  EXPECT_EQ(pool.num_cache_hits(), plain.num_cache_hits());
+  EXPECT_EQ(pool.stats().jobs_dispatched, distinct.size());
+  EXPECT_EQ(pool.stats().jobs_ok, distinct.size());
+  EXPECT_EQ(pool.stats().forks, 1u);
+  EXPECT_EQ(pool.stats().connects, 1u);
   EXPECT_FALSE(pool.degraded());
 }
 
@@ -216,20 +252,20 @@ TEST(DistEvaluator, BrownoutFallsBackToLocalStack) {
                               sim::machine_by_name("arm"));
   sim::ProgramEvaluator bottom(bench_suite::make_program("security_sha"),
                                sim::machine_by_name("arm"));
-  dist::DistConfig cfg;
+  dist::PoolConfig cfg;
   cfg.peers = {bogus};
   cfg.spec = dist::make_program_spec(bottom, "arm");
   cfg.connect_timeout_seconds = 0.1;
-  cfg.reconnect_backoff_seconds = 0.001;
+  cfg.backoff_seconds = 0.001;
   cfg.breaker_threshold = 1;
-  dist::DistEvaluator pool(bottom, bottom, cfg);
+  dist::WorkerPool pool(bottom, cfg);
 
   const auto want = plain.evaluate(candidate(0));
   const auto got = pool.evaluate(candidate(0));
   expect_same_outcome(got, want, "brownout fallback");
   EXPECT_TRUE(pool.degraded());
-  EXPECT_EQ(pool.dist_stats().jobs_ok, 0u);
-  EXPECT_GE(pool.dist_stats().local_fallback, 1u);
+  EXPECT_EQ(pool.stats().jobs_ok, 0u);
+  EXPECT_GE(pool.stats().local_fallback, 1u);
 }
 
 TEST(DistEvaluator, BreakerStateIsVisibleInMetricsExport) {
@@ -241,20 +277,20 @@ TEST(DistEvaluator, BreakerStateIsVisibleInMetricsExport) {
                             std::to_string(::getpid()) + ".sock";
   sim::ProgramEvaluator bottom(bench_suite::make_program("security_sha"),
                                sim::machine_by_name("arm"));
-  dist::DistConfig cfg;
+  dist::PoolConfig cfg;
   cfg.peers = {bogus};
   cfg.spec = dist::make_program_spec(bottom, "arm");
   cfg.connect_timeout_seconds = 0.1;
-  cfg.reconnect_backoff_seconds = 0.001;
+  cfg.backoff_seconds = 0.001;
   cfg.breaker_threshold = 2;  // one backoff round, then the ban
-  dist::DistEvaluator pool(bottom, bottom, cfg);
+  dist::WorkerPool pool(bottom, cfg);
   pool.evaluate(candidate(0));
   obs::metrics_force_enable(false);
 
   EXPECT_TRUE(pool.degraded());
-  EXPECT_GE(pool.dist_stats().reconnect_attempts, 2u);
-  EXPECT_GE(pool.dist_stats().backoffs, 1u);
-  EXPECT_EQ(pool.dist_stats().bans, 1u);
+  EXPECT_GE(pool.stats().reconnect_attempts, 2u);
+  EXPECT_GE(pool.stats().backoffs, 1u);
+  EXPECT_EQ(pool.stats().bans, 1u);
 
   auto& reg = obs::Registry::instance();
   const std::string prom = reg.prometheus_text();
@@ -342,13 +378,13 @@ std::int64_t measure_offset_against(std::int64_t skew_ns, int path_index) {
   std::thread peer(serve_skewed, listen_fd, dist::evaluator_fingerprint(bottom),
                    std::vector<std::int64_t>{skew_ns});
 
-  dist::DistConfig cfg;
+  dist::PoolConfig cfg;
   cfg.peers = {path};
   cfg.spec = dist::make_program_spec(bottom, "arm");
   cfg.connect_timeout_seconds = 5.0;
   cfg.job_wall_timeout_seconds = 1.0;
   cfg.max_attempts_per_job = 1;  // one handshake, then local fallback
-  dist::DistEvaluator pool(bottom, bottom, cfg);
+  dist::WorkerPool pool(bottom, cfg);
   pool.evaluate(candidate(0));
 
   peer.join();
@@ -387,16 +423,16 @@ TEST(DistClock, OffsetRemeasuredOnReconnect) {
       serve_skewed, listen_fd, dist::evaluator_fingerprint(bottom),
       std::vector<std::int64_t>{2'000'000'000, -2'000'000'000});
 
-  dist::DistConfig cfg;
+  dist::PoolConfig cfg;
   cfg.peers = {path};
   cfg.spec = dist::make_program_spec(bottom, "arm");
   cfg.connect_timeout_seconds = 5.0;
   cfg.job_wall_timeout_seconds = 1.0;
   cfg.max_attempts_per_job = 1;
   cfg.breaker_threshold = 10;  // two lost jobs must not ban the peer
-  cfg.reconnect_backoff_seconds = 0.001;
-  cfg.reconnect_backoff_max_seconds = 0.002;
-  dist::DistEvaluator pool(bottom, bottom, cfg);
+  cfg.backoff_seconds = 0.001;
+  cfg.backoff_max_seconds = 0.002;
+  dist::WorkerPool pool(bottom, cfg);
 
   pool.evaluate(candidate(0));
   EXPECT_NEAR(static_cast<double>(pool.peer_clock_offset_ns(0)), 2e9, 250e6);
@@ -404,7 +440,7 @@ TEST(DistClock, OffsetRemeasuredOnReconnect) {
   ::usleep(50 * 1000);  // clear the reconnect backoff gate
   pool.evaluate(candidate(1));
   EXPECT_NEAR(static_cast<double>(pool.peer_clock_offset_ns(0)), -2e9, 250e6);
-  EXPECT_GE(pool.dist_stats().connects, 2u);
+  EXPECT_GE(pool.stats().connects, 2u);
 
   peer.join();
   ::unlink(path.c_str());
@@ -416,10 +452,10 @@ TEST(DistClock, RealPeerOffsetIsNearZero) {
   ScopedPeer peer;
   sim::ProgramEvaluator bottom(bench_suite::make_program("security_sha"),
                                sim::machine_by_name("arm"));
-  dist::DistConfig cfg;
+  dist::PoolConfig cfg;
   cfg.peers = {peer.path};
   cfg.spec = dist::make_program_spec(bottom, "arm");
-  dist::DistEvaluator pool(bottom, bottom, cfg);
+  dist::WorkerPool pool(bottom, cfg);
   pool.evaluate(candidate(0));
   ASSERT_FALSE(pool.degraded());
   EXPECT_LT(std::llabs(pool.peer_clock_offset_ns(0)), 1'000'000'000ll);
@@ -431,9 +467,9 @@ TEST(DistEvaluator, EmptyPeerListIsInert) {
                               sim::machine_by_name("arm"));
   sim::ProgramEvaluator bottom(bench_suite::make_program("security_sha"),
                                sim::machine_by_name("arm"));
-  dist::DistEvaluator pool(bottom, bottom, {});
+  dist::WorkerPool pool(bottom, {});
   EXPECT_EQ(pool.peer_count(), 0);
   expect_same_outcome(pool.evaluate(candidate(1)), plain.evaluate(candidate(1)),
                       "inert pool");
-  EXPECT_EQ(pool.dist_stats().jobs_dispatched, 0u);
+  EXPECT_EQ(pool.stats().jobs_dispatched, 0u);
 }

@@ -1,8 +1,8 @@
-// Tests for the out-of-process evaluation sandbox (src/sandbox/): IPC
-// frame properties under truncation/corruption, the job/result codecs,
-// byte-identity of sandboxed vs. plain evaluation, and one containment
-// test per crash class (SIGSEGV, OOM, spin, external SIGKILL) plus the
-// circuit-breaker degradation path.
+// Tests for out-of-process evaluation in fork workers: IPC frame
+// properties under truncation/corruption, the job/result codecs
+// (src/sandbox/), byte-identity of a fork-worker pool (dist/pool.hpp) vs.
+// plain evaluation, and one containment test per crash class (SIGSEGV,
+// OOM, spin, external SIGKILL) plus the circuit-breaker degradation path.
 
 #include <gtest/gtest.h>
 
@@ -16,10 +16,10 @@
 #include <vector>
 
 #include "bench_suite/suite.hpp"
+#include "dist/pool.hpp"
 #include "persist/codec.hpp"
 #include "sandbox/ipc.hpp"
 #include "sandbox/protocol.hpp"
-#include "sandbox/supervisor.hpp"
 #include "sim/evaluator.hpp"
 #include "sim/faults.hpp"
 #include "sim/machine.hpp"
@@ -249,63 +249,6 @@ TEST(SandboxIpc, OversizedFrameErrorNamesLengthAndCap) {
   EXPECT_NE(err.find(std::to_string(sandbox::kMaxFramePayload)),
             std::string::npos)
       << err;
-  EXPECT_NE(err.find("CITROEN_IPC_MAX_FRAME"), std::string::npos) << err;
-}
-
-TEST(SandboxIpc, MaxFrameEnvOverrideRaisesAndLowersTheCap) {
-  ASSERT_EQ(sandbox::max_frame_payload(), sandbox::kMaxFramePayload);
-
-  // Lower the cap to the clamp floor: a frame length just above it is
-  // now corrupt even though it would pass the compiled-in default.
-  ::setenv("CITROEN_IPC_MAX_FRAME", "65536", 1);
-  EXPECT_EQ(sandbox::max_frame_payload(), 65536u);
-  std::string header;
-  const std::uint32_t len = 65536 + 1;
-  for (int i = 0; i < 4; ++i)
-    header.push_back(static_cast<char>((len >> (8 * i)) & 0xff));
-  header.append(4, '\0');
-  sandbox::FrameDecoder dec;
-  dec.feed(header.data(), header.size());
-  std::string out, err;
-  EXPECT_EQ(dec.next(&out, &err), sandbox::DecodeStatus::Corrupt);
-  EXPECT_NE(err.find("65536"), std::string::npos) << err;
-
-  // Raise it: the same length is a plausible frame again (NeedMore since
-  // only the header was fed).
-  ::setenv("CITROEN_IPC_MAX_FRAME", "1048576", 1);
-  EXPECT_EQ(sandbox::max_frame_payload(), 1048576u);
-  sandbox::FrameDecoder dec2;
-  dec2.feed(header.data(), header.size());
-  EXPECT_EQ(dec2.next(&out, &err), sandbox::DecodeStatus::NeedMore);
-
-  // Unparsable and out-of-range values fall back to the default.
-  ::setenv("CITROEN_IPC_MAX_FRAME", "not-a-number", 1);
-  EXPECT_EQ(sandbox::max_frame_payload(), sandbox::kMaxFramePayload);
-  ::setenv("CITROEN_IPC_MAX_FRAME", "1024", 1);  // below the 64 KB floor
-  EXPECT_EQ(sandbox::max_frame_payload(), sandbox::kMaxFramePayload);
-  ::unsetenv("CITROEN_IPC_MAX_FRAME");
-  EXPECT_EQ(sandbox::max_frame_payload(), sandbox::kMaxFramePayload);
-}
-
-TEST(Sandbox, RespawnBackoffJitterIsSeededAndBounded) {
-  std::uint64_t s1 = 42, s2 = 42, s3 = 99;
-  std::vector<double> a, b, c;
-  for (int i = 0; i < 64; ++i) {
-    a.push_back(sandbox::jittered_backoff(0.05, 0.5, &s1));
-    b.push_back(sandbox::jittered_backoff(0.05, 0.5, &s2));
-    c.push_back(sandbox::jittered_backoff(0.05, 0.5, &s3));
-  }
-  EXPECT_EQ(a, b) << "same seed must give the same schedule";
-  EXPECT_NE(a, c) << "different seeds must decorrelate";
-  for (const double v : a) {
-    EXPECT_GE(v, 0.05 * 0.5 - 1e-12);  // [1 - jitter, 1 + jitter] bounds
-    EXPECT_LE(v, 0.05 * 1.5 + 1e-12);
-  }
-  std::uint64_t s = 7;
-  EXPECT_EQ(sandbox::jittered_backoff(0.2, 0.0, &s), 0.2);
-  const double clamped = sandbox::jittered_backoff(1.0, 5.0, &s);
-  EXPECT_GE(clamped, 0.0);  // jitter clamps to 1: factor within [0, 2]
-  EXPECT_LE(clamped, 2.0);
 }
 
 TEST(SandboxIpc, ReaderReportsEofOnTornWrite) {
@@ -454,14 +397,14 @@ TEST(Sandbox, MatchesPlainEvaluationBitForBit) {
                               sim::arm_a57_model());
   sim::ProgramEvaluator base(bench_suite::make_program("security_sha"),
                              sim::arm_a57_model());
-  sandbox::SandboxConfig cfg;
-  cfg.workers = 2;
-  sandbox::SandboxedEvaluator sandboxed(base, cfg);
+  dist::PoolConfig cfg;
+  cfg.fork_workers = 2;
+  dist::WorkerPool sandboxed(base, cfg);
 
   std::vector<sim::SequenceAssignment> batch;
   for (int i = 0; i < 8; ++i) batch.push_back(make_assignment(i));
 
-  // Batch through the sandbox (prefetch + replay), serial on the plain
+  // Batch through the pool (prefetch + replay), serial on the plain
   // evaluator: every outcome and the accounting must agree byte-for-byte.
   const auto sandboxed_out = sandboxed.evaluate_batch(batch);
   ASSERT_EQ(sandboxed_out.size(), batch.size());
@@ -481,9 +424,9 @@ TEST(Sandbox, CompileVettingMatchesPlain) {
                               sim::arm_a57_model());
   sim::ProgramEvaluator base(bench_suite::make_program("security_sha"),
                              sim::arm_a57_model());
-  sandbox::SandboxConfig cfg;
-  cfg.workers = 1;
-  sandbox::SandboxedEvaluator sandboxed(base, cfg);
+  dist::PoolConfig cfg;
+  cfg.fork_workers = 1;
+  dist::WorkerPool sandboxed(base, cfg);
   const auto a = make_assignment(1);
   const auto co_sandbox = sandboxed.compile(a);
   const auto co_plain = plain.compile(a);
@@ -500,16 +443,16 @@ TEST(Sandbox, ShutdownNeverWaitsOnAnotherEvaluatorsWorkers) {
                                sim::arm_a57_model());
   sim::ProgramEvaluator base_b(bench_suite::make_program("security_sha"),
                                sim::arm_a57_model());
-  sandbox::SandboxConfig cfg;
-  cfg.workers = 1;
-  auto first = std::make_unique<sandbox::SandboxedEvaluator>(base_a, cfg);
+  dist::PoolConfig cfg;
+  cfg.fork_workers = 1;
+  auto first = std::make_unique<dist::WorkerPool>(base_a, cfg);
   first->evaluate(make_assignment(0));
-  // The second evaluator's worker forks while the first one's job pipe
-  // is open in this process.
-  sandbox::SandboxedEvaluator second(base_b, cfg);
+  // The second pool's worker forks while the first one's job pipe is
+  // open in this process.
+  dist::WorkerPool second(base_b, cfg);
   const auto out1 = second.evaluate(make_assignment(1));
-  ASSERT_EQ(first->sandbox_stats().forks, 1u);
-  ASSERT_EQ(second.sandbox_stats().forks, 1u);
+  ASSERT_EQ(first->stats().forks, 1u);
+  ASSERT_EQ(second.stats().forks, 1u);
 
   // Shutdown closes the job pipe and reaps the worker at EOF. Had the
   // second worker inherited the write end, it would wait out the 2 s
@@ -526,7 +469,7 @@ TEST(Sandbox, ShutdownNeverWaitsOnAnotherEvaluatorsWorkers) {
             outcome_bytes(plain.evaluate(make_assignment(1))));
   EXPECT_EQ(outcome_bytes(out2),
             outcome_bytes(plain.evaluate(make_assignment(2))));
-  EXPECT_EQ(second.sandbox_stats().forks, 1u);
+  EXPECT_EQ(second.stats().forks, 1u);
   EXPECT_FALSE(second.degraded());
 }
 
@@ -542,7 +485,7 @@ struct ContainmentRig {
                              sim::arm_a57_model()};
   sim::FaultInjector faulty;
   sim::FaultInjector clean{sim::FaultPlan{}};
-  sandbox::SandboxedEvaluator sb;
+  dist::WorkerPool sb;
 
   static sim::FaultPlan plan(double segv, double oom, double spin) {
     sim::FaultPlan p;
@@ -552,9 +495,9 @@ struct ContainmentRig {
     p.spin_rate = spin;
     return p;
   }
-  static sandbox::SandboxConfig config(double wall_timeout) {
-    sandbox::SandboxConfig cfg;
-    cfg.workers = 1;
+  static dist::PoolConfig config(double wall_timeout) {
+    dist::PoolConfig cfg;
+    cfg.fork_workers = 1;
     cfg.breaker_threshold = 1000;
     cfg.job_wall_timeout_seconds = wall_timeout;
     return cfg;
@@ -613,10 +556,10 @@ TEST(Sandbox, ContainsSpinAsTimeout) {
 TEST(Sandbox, ContainsExternalSigkillMidJob) {
   sim::ProgramEvaluator base(bench_suite::make_program("security_sha"),
                              sim::arm_a57_model());
-  sandbox::SandboxConfig cfg;
-  cfg.workers = 1;
+  dist::PoolConfig cfg;
+  cfg.fork_workers = 1;
   cfg.kill_job_id = 0;  // murder the worker right after the first dispatch
-  sandbox::SandboxedEvaluator sb(base, cfg);
+  dist::WorkerPool sb(base, cfg);
   const auto out = sb.evaluate(make_assignment(0));
   EXPECT_FALSE(out.valid);
   EXPECT_EQ(out.failure, sim::FailureKind::WorkerCrash);
@@ -624,7 +567,7 @@ TEST(Sandbox, ContainsExternalSigkillMidJob) {
               out.why_invalid.find("signal 9") != std::string::npos ||
               out.why_invalid.find("Killed") != std::string::npos)
       << out.why_invalid;
-  EXPECT_GE(sb.sandbox_stats().respawns, 1u);
+  EXPECT_GE(sb.stats().respawns, 1u);
   // Same candidate again: the fatal verdict is memoized, no new dispatch.
   const auto again = sb.evaluate(make_assignment(0));
   EXPECT_EQ(again.failure, sim::FailureKind::WorkerCrash);
@@ -635,11 +578,11 @@ TEST(Sandbox, ContainsExternalSigkillMidJob) {
 TEST(Sandbox, BreakerDegradesToInProcessWhichIsImmuneToRealFaults) {
   sim::ProgramEvaluator base(bench_suite::make_program("security_sha"),
                              sim::arm_a57_model());
-  sandbox::SandboxConfig cfg;
-  cfg.workers = 1;
+  dist::PoolConfig cfg;
+  cfg.fork_workers = 1;
   cfg.breaker_threshold = 2;
-  cfg.respawn_backoff_seconds = 0.001;
-  sandbox::SandboxedEvaluator sb(base, cfg);
+  cfg.backoff_seconds = 0.001;
+  dist::WorkerPool sb(base, cfg);
   sim::FaultPlan plan;
   plan.seed = 6;
   plan.segv_rate = 1.0;
@@ -651,7 +594,7 @@ TEST(Sandbox, BreakerDegradesToInProcessWhichIsImmuneToRealFaults) {
   const auto second = sb.evaluate(make_assignment(1));
   EXPECT_EQ(second.failure, sim::FailureKind::WorkerCrash);
   EXPECT_TRUE(sb.degraded());
-  EXPECT_EQ(sb.sandbox_stats().breaker_trips, 1u);
+  EXPECT_EQ(sb.stats().breaker_trips, 1u);
   // Post-trip: in-process evaluation never fires real-fault modes (the
   // degradation ladder's bottom rung keeps producing correct results).
   const auto third = sb.evaluate(make_assignment(2));
@@ -664,10 +607,10 @@ TEST(Sandbox, BreakerDegradesToInProcessWhichIsImmuneToRealFaults) {
 TEST(Sandbox, RobustLayerQuarantinesWorkerFailures) {
   sim::ProgramEvaluator base(bench_suite::make_program("security_sha"),
                              sim::arm_a57_model());
-  sandbox::SandboxConfig cfg;
-  cfg.workers = 1;
+  dist::PoolConfig cfg;
+  cfg.fork_workers = 1;
   cfg.breaker_threshold = 1000;
-  sandbox::SandboxedEvaluator sb(base, cfg);
+  dist::WorkerPool sb(base, cfg);
   sim::FaultPlan plan;
   plan.seed = 8;
   plan.segv_rate = 1.0;

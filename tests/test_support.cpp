@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "support/matrix.hpp"
 #include "support/rng.hpp"
@@ -264,19 +265,29 @@ TEST(Statistics, PearsonPerfectCorrelation) {
 }
 
 // ---- shared jittered backoff (support/backoff.hpp) -------------------------
-// One implementation backs the sandbox supervisor's respawn delays, the
-// dist pool's peer reconnects, and citroen-cli's resubmit retries.
+// One implementation backs the worker pool's respawn and reconnect
+// delays and citroen-cli's resubmit retries.
 
 #include "support/backoff.hpp"
 
 TEST(Backoff, JitteredStaysInWindowAndIsDeterministic) {
-  std::uint64_t s1 = 42, s2 = 42;
+  std::uint64_t s1 = 42, s2 = 42, s3 = 99;
+  std::vector<double> a, c;
   for (int i = 0; i < 200; ++i) {
-    const double a = support::jittered_backoff(0.1, 0.5, &s1);
+    a.push_back(support::jittered_backoff(0.1, 0.5, &s1));
     const double b = support::jittered_backoff(0.1, 0.5, &s2);
-    EXPECT_EQ(a, b);  // same state stream => same delays
-    EXPECT_GE(a, 0.1 * 0.5);
-    EXPECT_LE(a, 0.1 * 1.5);
+    c.push_back(support::jittered_backoff(0.1, 0.5, &s3));
+    EXPECT_EQ(a.back(), b);  // same state stream => same delays
+    EXPECT_GE(a.back(), 0.1 * 0.5);
+    EXPECT_LE(a.back(), 0.1 * 1.5);
+  }
+  EXPECT_NE(a, c) << "different seeds must decorrelate";
+  // A jitter above 1 clamps to 1: the factor stays within [0, 2].
+  std::uint64_t s = 7;
+  for (int i = 0; i < 64; ++i) {
+    const double clamped = support::jittered_backoff(1.0, 5.0, &s);
+    EXPECT_GE(clamped, 0.0);
+    EXPECT_LE(clamped, 2.0);
   }
 }
 
