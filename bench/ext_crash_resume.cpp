@@ -118,11 +118,10 @@ int main(int argc, char** argv) {
     }
   }
   std::fprintf(stderr,
-               "prefix cache: %llu builds, %llu full hits, %llu prefix hits, "
+               "prefix cache: %llu builds, %llu full hits, "
                "%llu/%llu passes saved\n",
                static_cast<unsigned long long>(rep.cache_stats.builds),
                static_cast<unsigned long long>(rep.cache_stats.full_hits),
-               static_cast<unsigned long long>(rep.cache_stats.prefix_hits),
                static_cast<unsigned long long>(rep.cache_stats.passes_saved),
                static_cast<unsigned long long>(rep.cache_stats.passes_run +
                                                rep.cache_stats.passes_saved));

@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
       const auto& methods = report.curves;
       cache.builds += report.cache_stats.builds;
       cache.full_hits += report.cache_stats.full_hits;
-      cache.prefix_hits += report.cache_stats.prefix_hits;
       cache.passes_run += report.cache_stats.passes_run;
       cache.passes_saved += report.cache_stats.passes_saved;
       std::printf("%-22s", prog.c_str());
@@ -65,13 +64,11 @@ int main(int argc, char** argv) {
       const std::string p = "citroen_fig5_6_" + suite;
       reg.counter(p + "_prefix_builds_total").add(cache.builds);
       reg.counter(p + "_prefix_full_hits_total").add(cache.full_hits);
-      reg.counter(p + "_prefix_snapshot_hits_total").add(cache.prefix_hits);
       reg.counter(p + "_passes_run_total").add(cache.passes_run);
       reg.counter(p + "_passes_saved_total").add(cache.passes_saved);
-      const std::uint64_t hits = cache.full_hits + cache.prefix_hits;
       const std::uint64_t passes = cache.passes_run + cache.passes_saved;
       reg.gauge(p + "_prefix_hit_rate")
-          .set(cache.builds ? static_cast<double>(hits) /
+          .set(cache.builds ? static_cast<double>(cache.full_hits) /
                                   static_cast<double>(cache.builds)
                             : 0.0);
       reg.gauge(p + "_pass_save_rate")

@@ -581,11 +581,9 @@ std::string status_text(const InspectOkMsg& m) {
     out += buf;
   }
   std::snprintf(buf, sizeof(buf),
-                "prefix-cache: builds %llu  full-hits %llu  prefix-hits %llu"
-                "  disk-hits %llu\n",
+                "prefix-cache: builds %llu  full-hits %llu  disk-hits %llu\n",
                 static_cast<unsigned long long>(m.cache_builds),
                 static_cast<unsigned long long>(m.cache_full_hits),
-                static_cast<unsigned long long>(m.cache_prefix_hits),
                 static_cast<unsigned long long>(m.cache_disk_hits));
   out += buf;
   std::snprintf(buf, sizeof(buf),

@@ -20,7 +20,7 @@ namespace {
 
 constexpr char kMagic[8] = {'C', 'T', 'R', 'N', 'P', 'F', 'X', '1'};
 constexpr std::size_t kHeaderBytes = 8 + 8 + 8 + 4;
-/// An entry bigger than this is not a prefix-cache snapshot; reject it
+/// An entry bigger than this is not a finalized build; reject it
 /// before allocating a payload buffer from a corrupt length field.
 constexpr std::uint64_t kMaxEntryBytes = std::uint64_t{1} << 30;
 

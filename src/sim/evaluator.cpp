@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -128,17 +129,16 @@ ProgramEvaluator::ProgramEvaluator(ir::Program base, ir::CostModel machine,
   o0_cycles_ = o0.cycles;
   reference_output_ = o0.ret;
 
-  std::string err;
-  o3_built_ = build({}, nullptr, &err);
-  if (!err.empty()) throw std::runtime_error("-O3 build failed: " + err);
-  const auto o3 = ir::interpret(o3_built_, machine_, limits_);
+  Assembly o3_build = build({}, nullptr);
+  if (!o3_build.error.empty())
+    throw std::runtime_error("-O3 build failed: " + o3_build.error);
+  const auto o3 = ir::interpret(materialize(o3_build), machine_, limits_);
   if (!o3.ok || o3.ret != reference_output_)
     throw std::runtime_error("-O3 build miscompiled " + base_.name + ": " +
                              (o3.ok ? "output mismatch" : o3.trap));
   o3_cycles_ = o3.cycles;
   o3_module_cycles_ = o3.module_cycles;
-  for (const auto& m : o3_built_.modules)
-    o3_module_print_hash_[m.name] = fnv_string(ir::print_module(m));
+  o3_ = std::move(o3_build);
 }
 
 void ProgramEvaluator::set_exec_limits(const ir::ExecLimits& limits) {
@@ -198,7 +198,7 @@ void ProgramEvaluator::add_workload(const ir::Program& variant) {
   // and recompute the multi-workload -O3 baseline.
   cache_.clear();
   measure_memo_.clear();
-  ir::Program o3 = o3_built_;
+  ir::Program o3 = materialize(o3_);
   double total = ir::interpret(o3, machine_, limits_).cycles;
   for (const auto& wk : workloads_) {
     apply_workload(o3, wk);
@@ -222,105 +222,113 @@ std::vector<std::pair<std::string, double>> ProgramEvaluator::hot_modules()
   return out;
 }
 
-ir::Program ProgramEvaluator::build(
+ProgramEvaluator::Assembly ProgramEvaluator::assemble(
+    const SequenceAssignment& seqs, const FaultInjector* injector,
+    passes::StatsRegistry* stats_out,
+    std::map<std::string, passes::StatsRegistry>* module_stats_out) const {
+  Assembly a;
+  a.hash = kFnvOffset;
+  a.modules.reserve(base_.modules.size());
+  for (std::size_t i = 0; i < base_.modules.size(); ++i) {
+    const ir::Module& m = base_.modules[i];
+    const auto it = seqs.find(m.name);
+    // Reuse the prebuilt -O3 module when this module is not being tuned
+    // (constructor pass: o3_ is still empty, so compile everything).
+    std::shared_ptr<const ModuleBuild> mb;
+    if (it == seqs.end() && !o3_.modules.empty()) {
+      mb = o3_.modules[i];
+    } else {
+      const auto& seq = it == seqs.end() ? passes::o3_sequence() : it->second;
+      // Injected compiler faults hit tuned (adversarially ordered)
+      // pipelines only; the fixed reference pipeline is assumed sound.
+      if (injector && it != seqs.end()) {
+        const auto fault = injector->compile_fault(m.name, seq);
+        if (fault.kind == FaultKind::Crash) {
+          a.error = "pass pipeline crashed (injected): " + fault.detail;
+          a.failure = FailureKind::Crash;
+          a.transient = fault.transient;
+          return a;
+        }
+      }
+      std::vector<passes::PassId> ids;
+      try {
+        ids = passes::intern_sequence(seq);
+      } catch (const std::exception& e) {
+        a.error = std::string("pass pipeline failed: ") + e.what();
+        a.failure = FailureKind::Crash;
+        return a;
+      }
+      mb = bc().build(m, ids, module_salt(m.name));
+      if (!mb->ok) {
+        a.error = (mb->crashed ? "pass pipeline failed: " : "verifier: ") +
+                  mb->error;
+        a.failure = mb->crashed ? FailureKind::Crash : FailureKind::Verifier;
+        return a;
+      }
+      if (stats_out && it != seqs.end()) stats_out->merge(mb->stats);
+      if (module_stats_out && it != seqs.end())
+        (*module_stats_out)[m.name] = mb->stats;
+    }
+    mix_module_hash(a.hash, mb->print_hash);
+    a.code_size += mb->code_size;
+    a.modules.push_back(std::move(mb));
+  }
+  return a;
+}
+
+ProgramEvaluator::Assembly ProgramEvaluator::build(
     const SequenceAssignment& seqs, passes::StatsRegistry* stats_out,
-    std::string* err,
-    std::map<std::string, passes::StatsRegistry>* module_stats_out,
-    FailureKind* failure_out, bool* transient_out,
-    std::uint64_t* hash_out) const {
+    std::map<std::string, passes::StatsRegistry>* module_stats_out) const {
   const Stopwatch sw;
   OBS_SPAN("build", "eval");
   OBS_COUNTER_INC("citroen_builds_total");
-  ir::Program built = base_;
-  std::uint64_t h = kFnvOffset;
-  for (auto& m : built.modules) {
-    const auto it = seqs.find(m.name);
-    // Reuse the prebuilt -O3 module when this module is not being tuned
-    // (constructor pass: o3_built_ is empty, so compile everything).
-    if (it == seqs.end() && !o3_built_.modules.empty()) {
-      const ir::Module* pre = o3_built_.find_module(m.name);
-      if (pre) {
-        mix_module_hash(h, o3_module_print_hash_.at(m.name));
-        m = *pre;
-        continue;
-      }
-    }
-    const auto& seq =
-        it == seqs.end() ? passes::o3_sequence() : it->second;
-    // Injected compiler faults hit tuned (adversarially ordered)
-    // pipelines only; the fixed reference pipeline is assumed sound.
-    if (injector_ && it != seqs.end()) {
-      const auto fault = injector_->compile_fault(m.name, seq);
-      if (fault.kind == FaultKind::Crash) {
-        if (err) *err = "pass pipeline crashed (injected): " + fault.detail;
-        if (failure_out) *failure_out = FailureKind::Crash;
-        if (transient_out) *transient_out = fault.transient;
-        return built;
-      }
-    }
-    std::vector<passes::PassId> ids;
-    try {
-      ids = passes::intern_sequence(seq);
-    } catch (const std::exception& e) {
-      if (err) *err = std::string("pass pipeline failed: ") + e.what();
-      if (failure_out) *failure_out = FailureKind::Crash;
-      return built;
-    }
-    const auto mb = bc().build(m, ids, module_salt(m.name));
-    if (!mb->ok) {
-      if (mb->crashed) {
-        if (err) *err = "pass pipeline failed: " + mb->error;
-        if (failure_out) *failure_out = FailureKind::Crash;
-      } else {
-        if (err) *err = "verifier: " + mb->error;
-        if (failure_out) *failure_out = FailureKind::Verifier;
-      }
-      return built;
-    }
-    if (stats_out && it != seqs.end()) stats_out->merge(mb->stats);
-    if (module_stats_out && it != seqs.end())
-      (*module_stats_out)[m.name] = mb->stats;
-    mix_module_hash(h, mb->print_hash);
-    m = mb->module;
+  Assembly a = assemble(seqs, injector_, stats_out, module_stats_out);
+  if (a.error.empty()) {
+    ++num_compiles_;
+    compile_seconds_ += sw.seconds();
   }
-  ++num_compiles_;
-  compile_seconds_ += sw.seconds();
-  if (hash_out) *hash_out = h;
-  return built;
+  return a;
+}
+
+ir::Program ProgramEvaluator::materialize(const Assembly& a) const {
+  ir::Program p;
+  p.name = base_.name;
+  p.entry = base_.entry;
+  p.modules.reserve(a.modules.size());
+  for (const auto& mb : a.modules) p.modules.push_back(mb->module);
+  return p;
 }
 
 CompileOutcome ProgramEvaluator::compile(const SequenceAssignment& seqs,
                                          bool keep_program) const {
   CompileOutcome out;
-  std::string err;
-  std::uint64_t h = 0;
-  ir::Program built = build(seqs, &out.stats, &err, &out.module_stats,
-                            &out.failure, &out.transient, &h);
-  if (!err.empty()) {
-    out.why_invalid = err;
+  const Assembly a = build(seqs, &out.stats, &out.module_stats);
+  if (!a.error.empty()) {
+    out.why_invalid = a.error;
+    out.failure = a.failure;
+    out.transient = a.transient;
     return out;
   }
   out.valid = true;
-  out.binary_hash = h;
-  for (const auto& m : built.modules) out.code_size += m.code_size();
+  out.binary_hash = a.hash;
+  out.code_size = a.code_size;
   if (keep_program)
-    out.program = std::make_shared<const ir::Program>(std::move(built));
+    out.program = std::make_shared<const ir::Program>(materialize(a));
   return out;
 }
 
 EvalOutcome ProgramEvaluator::evaluate(const SequenceAssignment& seqs) {
   EvalOutcome out;
-  std::string err;
-  std::uint64_t h = 0;
-  const ir::Program built =
-      build(seqs, &out.stats, &err, nullptr, &out.failure, &out.transient, &h);
-  if (!err.empty()) {
-    out.why_invalid = err;
+  const Assembly a = build(seqs, &out.stats);
+  if (!a.error.empty()) {
+    out.why_invalid = a.error;
+    out.failure = a.failure;
+    out.transient = a.transient;
     return out;
   }
-  for (const auto& m : built.modules) out.code_size += m.code_size();
-
-  out.binary_hash = h;
+  out.code_size = a.code_size;
+  out.binary_hash = a.hash;
+  const std::uint64_t h = a.hash;
   const auto hit = cache_.find(h);
   if (hit != cache_.end()) {
     const auto stats = out.stats;          // stats depend on the sequence,
@@ -359,17 +367,21 @@ EvalOutcome ProgramEvaluator::evaluate(const SequenceAssignment& seqs) {
   }
 
   // Interpreter runs are pure in the binary; consume prefetched memos
-  // where available (missing/short memos fall back to interpreting).
+  // where available (missing/short memos fall back to interpreting the
+  // program, materialized on its first run). Run idx > 0 is workload
+  // idx-1, whose images overwrite every global.
   const MeasureMemo* memo = nullptr;
   if (const auto mit = measure_memo_.find(h); mit != measure_memo_.end())
     memo = &mit->second;
-  const auto run_at = [&](std::size_t idx,
-                          const ir::Program& prog) -> ir::ExecResult {
+  std::optional<ir::Program> prog;
+  const auto run_at = [&](std::size_t idx) -> ir::ExecResult {
     if (memo && idx < memo->runs.size()) return memo->runs[idx];
-    return ir::interpret(prog, machine_, limits_);
+    if (!prog) prog = materialize(a);
+    if (idx > 0) apply_workload(*prog, workloads_[idx - 1]);
+    return ir::interpret(*prog, machine_, limits_);
   };
 
-  const auto run = run_at(0, built);
+  const auto run = run_at(0);
   ++num_measurements_;
   std::int64_t ret = run.ret;
   if (injector_ && run.ok && injector_->miscompiles(h, 0)) ret ^= 1;
@@ -393,12 +405,7 @@ EvalOutcome ProgramEvaluator::evaluate(const SequenceAssignment& seqs) {
     // reported runtime is the mean over inputs.
     for (std::size_t wi = 0; wi < workloads_.size(); ++wi) {
       const auto& w = workloads_[wi];
-      ir::Program variant;
-      if (!(memo && wi + 1 < memo->runs.size())) {
-        variant = built;
-        apply_workload(variant, w);
-      }
-      const auto r = run_at(wi + 1, variant);
+      const auto r = run_at(wi + 1);
       std::int64_t wret = r.ret;
       if (injector_ && r.ok && injector_->miscompiles(h, wi + 1)) wret ^= 1;
       if (!r.ok) {
@@ -485,19 +492,14 @@ void ProgramEvaluator::prefetch(std::span<const SequenceAssignment> batch,
   // Runs use raw interpreter results only; injected miscompiles/hangs
   // are applied by the serial replay, which falls back to interpreting
   // directly if its early-stop point differs from ours.
-  struct MeasureJob {
-    std::uint64_t hash = 0;
-    ir::Program built;
-  };
-  std::vector<MeasureJob> mjobs;
+  std::vector<Assembly> mjobs;
   std::unordered_set<std::uint64_t> seen_binaries;
   for (const auto& seqs : batch) {
-    ir::Program built;
-    std::uint64_t h = 0;
-    if (!assemble_pure(seqs, &built, &h)) continue;
-    if (cache_.count(h) || measure_memo_.count(h)) continue;
-    if (!seen_binaries.insert(h).second) continue;
-    mjobs.push_back(MeasureJob{h, std::move(built)});
+    Assembly a = assemble(seqs, nullptr);
+    if (!a.error.empty()) continue;
+    if (cache_.count(a.hash) || measure_memo_.count(a.hash)) continue;
+    if (!seen_binaries.insert(a.hash).second) continue;
+    mjobs.push_back(std::move(a));
   }
 
   std::vector<MeasureMemo> memos(mjobs.size());
@@ -505,7 +507,7 @@ void ProgramEvaluator::prefetch(std::span<const SequenceAssignment> batch,
   pool.parallel_for(mjobs.size(), [&](std::size_t i) {
     const Stopwatch sw;
     OBS_SPAN("prefetch_measure", "eval");
-    memos[i].runs = measure_pure(mjobs[i].built);
+    memos[i].runs = measure_pure(materialize(mjobs[i]));
     secs[i] = sw.seconds();
   });
   for (std::size_t i = 0; i < mjobs.size(); ++i) {
@@ -514,47 +516,15 @@ void ProgramEvaluator::prefetch(std::span<const SequenceAssignment> batch,
   }
 }
 
-bool ProgramEvaluator::assemble_pure(const SequenceAssignment& seqs,
-                                     ir::Program* built,
-                                     std::uint64_t* hash) const {
-  *built = base_;
-  std::uint64_t h = kFnvOffset;
-  for (auto& m : built->modules) {
-    const auto it = seqs.find(m.name);
-    if (it == seqs.end()) {
-      const ir::Module* pre = o3_built_.find_module(m.name);
-      if (pre) {
-        mix_module_hash(h, o3_module_print_hash_.at(m.name));
-        m = *pre;
-        continue;
-      }
-    }
-    const auto& seq = it == seqs.end() ? passes::o3_sequence() : it->second;
-    std::vector<passes::PassId> ids;
-    try {
-      ids = passes::intern_sequence(seq);
-    } catch (const std::exception&) {
-      return false;  // serial path reports the identical error itself
-    }
-    const auto mb = bc().build(m, ids, module_salt(m.name));
-    if (!mb->ok) return false;
-    mix_module_hash(h, mb->print_hash);
-    m = mb->module;
-  }
-  *hash = h;
-  return true;
-}
-
 std::vector<ir::ExecResult> ProgramEvaluator::measure_pure(
-    const ir::Program& built) const {
+    ir::Program built) const {
   std::vector<ir::ExecResult> runs;
   const auto run = ir::interpret(built, machine_, limits_);
   runs.push_back(run);
   if (run.ok && run.ret == reference_output_) {
     for (const auto& w : workloads_) {
-      ir::Program variant = built;
-      apply_workload(variant, w);
-      const auto r = ir::interpret(variant, machine_, limits_);
+      apply_workload(built, w);  // overwrites every global's image
+      const auto r = ir::interpret(built, machine_, limits_);
       runs.push_back(r);
       if (!r.ok || r.ret != w.reference) break;
     }
@@ -565,19 +535,19 @@ std::vector<ir::ExecResult> ProgramEvaluator::measure_pure(
 PureEvalResult ProgramEvaluator::pure_evaluate(const SequenceAssignment& seqs,
                                                bool with_measure) const {
   PureEvalResult out;
-  ir::Program built;
-  std::uint64_t h = 0;
+  Assembly a;
   {
     OBS_SPAN("build", "eval");
     OBS_COUNTER_INC("citroen_builds_total");
-    if (!assemble_pure(seqs, &built, &h)) return out;
+    a = assemble(seqs, nullptr);
+    if (!a.error.empty()) return out;
   }
   out.built = true;
-  out.binary_hash = h;
+  out.binary_hash = a.hash;
   if (with_measure) {
     OBS_SPAN("measure", "eval");
     OBS_COUNTER_INC("citroen_measurements_total");
-    out.runs = measure_pure(built);
+    out.runs = measure_pure(materialize(a));
   }
   return out;
 }

@@ -235,7 +235,7 @@ class ProgramEvaluator : public Evaluator {
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
   /// Reconfigure the pipeline-prefix cache (byte budget 0 disables it).
-  /// Drops cached intermediate builds and measurement memos; evaluation
+  /// Drops cached builds and measurement memos; evaluation
   /// results are unaffected. Applies to the shared cache when one is
   /// attached.
   void set_prefix_cache_config(const PrefixCacheConfig& config);
@@ -311,13 +311,34 @@ class ProgramEvaluator : public Evaluator {
   void load_runtime_state(persist::Reader& r);
 
  private:
-  ir::Program build(const SequenceAssignment& seqs,
-                    passes::StatsRegistry* stats_out, std::string* err,
+  /// One candidate binary by reference: the cached build of every base
+  /// module in program order (the prebuilt -O3 build where a module is
+  /// untuned), with the composed hash and the live-instruction count.
+  /// No IR is copied until `materialize`.
+  struct Assembly {
+    std::vector<std::shared_ptr<const ModuleBuild>> modules;
+    std::uint64_t hash = 0;
+    std::size_t code_size = 0;
+    std::string error;  ///< why the build failed; empty on success
+    FailureKind failure = FailureKind::None;
+    bool transient = false;
+  };
+
+  /// Assemble through the build cache, consulting `injector` (null on
+  /// the pure path) for tuned modules. Stats of tuned modules built
+  /// before any failure are merged into the optional outputs.
+  Assembly assemble(const SequenceAssignment& seqs,
+                    const FaultInjector* injector,
+                    passes::StatsRegistry* stats_out = nullptr,
                     std::map<std::string, passes::StatsRegistry>*
-                        module_stats_out = nullptr,
-                    FailureKind* failure_out = nullptr,
-                    bool* transient_out = nullptr,
-                    std::uint64_t* hash_out = nullptr) const;
+                        module_stats_out = nullptr) const;
+  /// `assemble` with this evaluator's injector and compile accounting.
+  Assembly build(const SequenceAssignment& seqs,
+                 passes::StatsRegistry* stats_out,
+                 std::map<std::string, passes::StatsRegistry>*
+                     module_stats_out = nullptr) const;
+  /// Copy an assembly's modules into a program the interpreter can run.
+  ir::Program materialize(const Assembly& a) const;
 
   struct Workload {
     /// Global data images per module: [module][global] -> bytes.
@@ -325,14 +346,9 @@ class ProgramEvaluator : public Evaluator {
     std::int64_t reference = 0;  ///< -O0 output on this input
   };
 
-  /// Pure cache-backed assembly of the candidate's full binary — the
-  /// exact module walk prefetch stage 2 performs (no fault injector, no
-  /// accounting). False when any module fails to build or verify.
-  bool assemble_pure(const SequenceAssignment& seqs, ir::Program* built,
-                     std::uint64_t* hash) const;
   /// Pure interpreter runs for an assembled binary, with the serial
   /// path's early-stop rule: extra workloads only while outputs match.
-  std::vector<ir::ExecResult> measure_pure(const ir::Program& built) const;
+  std::vector<ir::ExecResult> measure_pure(ir::Program built) const;
 
   /// Pure interpreter runs for one binary, precomputed by `prefetch`:
   /// runs[0] is the base workload, runs[1+i] workload i. May be shorter
@@ -346,7 +362,7 @@ class ProgramEvaluator : public Evaluator {
   static void apply_workload(ir::Program& built, const Workload& w);
 
   ir::Program base_;
-  ir::Program o3_built_;
+  Assembly o3_;  ///< the reference -O3 build, reused for untuned modules
   ir::CostModel machine_;
   ir::ExecLimits limits_;
   const FaultInjector* injector_ = nullptr;
@@ -355,9 +371,6 @@ class ProgramEvaluator : public Evaluator {
   double o0_cycles_ = 0.0;
   std::int64_t reference_output_ = 0;
   std::unordered_map<std::string, double> o3_module_cycles_;
-  /// Print-hash of each prebuilt -O3 module, mixed into the composed
-  /// binary hash when an untuned module is reused.
-  std::unordered_map<std::string, std::uint64_t> o3_module_print_hash_;
 
   /// The active build cache: the shared one when attached, else private.
   PrefixCache& bc() const {

@@ -41,24 +41,18 @@ std::uint64_t fnv_bytes(std::uint64_t h, const void* data, std::size_t n) {
   return h;
 }
 
-/// Rolling prefix keys: keys[i] covers (salt, module name, first i pass
-/// ids). The salt disambiguates same-named modules when the cache is
-/// shared across evaluators.
-std::vector<std::uint64_t> prefix_keys(const std::string& name,
-                                       const std::vector<passes::PassId>& ids,
-                                       std::uint64_t salt) {
-  std::vector<std::uint64_t> keys(ids.size() + 1);
+/// Cache key of one build: FNV-1a over (module name, salt, pass ids).
+/// The salt disambiguates same-named modules when the cache is shared
+/// across evaluators; the disk tier names its files by this key.
+std::uint64_t build_key(const std::string& name,
+                        const std::vector<passes::PassId>& ids,
+                        std::uint64_t salt) {
   std::uint64_t h = fnv_bytes(kFnvOffset, name.data(), name.size());
   h ^= 0xff;
   h *= kFnvPrime;
   if (salt != 0) h = fnv_bytes(h, &salt, sizeof(salt));
-  keys[0] = h;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const std::uint16_t id = ids[i];
-    h = fnv_bytes(h, &id, sizeof(id));
-    keys[i + 1] = h;
-  }
-  return keys;
+  for (const std::uint16_t id : ids) h = fnv_bytes(h, &id, sizeof(id));
+  return h;
 }
 
 /// Rough resident-size estimate for the LRU byte budget. Counts the large
@@ -88,9 +82,9 @@ std::size_t estimate_bytes(const ModuleBuild& b) {
 
 /// Fixed cost a resident entry pays beyond its payload: the 8-byte key
 /// stored twice (hash-map node and LRU list node), the Entry struct
-/// (shared_ptr control, iterator, size, flag), plus per-node allocator
+/// (shared_ptr control, iterator, size), plus per-node allocator
 /// and bucket bookkeeping. Without this the budget was only counting
-/// snapshot payloads, so many short sequences (tiny payload, full-price
+/// payloads, so many short sequences (tiny payload, full-price
 /// bookkeeping) could overshoot the configured cap several-fold.
 constexpr std::size_t kEntryOverheadBytes =
     2 * sizeof(std::uint64_t) +                 // key in map node + lru node
@@ -168,20 +162,17 @@ void PrefixCache::bump(std::uint64_t n,
 }
 
 std::shared_ptr<const ModuleBuild> PrefixCache::lookup(
-    std::uint64_t key, bool need_finalized) const {
+    std::uint64_t key) const {
   Shard& s = shard_for(key);
   const std::lock_guard<std::mutex> lock(s.mu);
   const auto it = s.map.find(key);
   if (it == s.map.end()) return nullptr;
-  if (need_finalized && !it->second.finalized) return nullptr;
   s.lru.splice(s.lru.begin(), s.lru, it->second.lru_it);
   return it->second.value;
 }
 
-void PrefixCache::insert(std::uint64_t key,
-                         std::shared_ptr<const ModuleBuild> value,
-                         bool finalized) const {
-  if (!enabled()) return;
+void PrefixCache::insert(
+    std::uint64_t key, const std::shared_ptr<const ModuleBuild>& value) const {
   const std::size_t bytes = estimate_bytes(*value) + kEntryOverheadBytes;
   const std::size_t budget = config_.byte_budget / shards_.size();
   if (bytes > budget) return;  // would evict the whole shard for one entry
@@ -190,17 +181,11 @@ void PrefixCache::insert(std::uint64_t key,
   Shard& s = shard_for(key);
   {
     const std::lock_guard<std::mutex> lock(s.mu);
-    const auto it = s.map.find(key);
-    if (it != s.map.end()) {
-      // Never downgrade a finalized result to a snapshot.
-      if (it->second.finalized && !finalized) return;
-      s.bytes -= it->second.bytes;
-      s.lru.erase(it->second.lru_it);
-      s.map.erase(it);
-    }
+    // Another thread built the same sequence first; its build is
+    // bit-identical, so keep it.
+    if (s.map.count(key)) return;
     s.lru.push_front(key);
-    s.map.emplace(key, Entry{std::move(value), s.lru.begin(), bytes,
-                             finalized});
+    s.map.emplace(key, Entry{value, s.lru.begin(), bytes});
     s.bytes += bytes;
     while (s.bytes > budget && s.lru.size() > 1) {
       const std::uint64_t victim = s.lru.back();
@@ -216,129 +201,82 @@ void PrefixCache::insert(std::uint64_t key,
   stats_.evictions += evicted;
 }
 
+std::shared_ptr<const ModuleBuild> PrefixCache::finalize(
+    std::uint64_t key, std::shared_ptr<const ModuleBuild> value) const {
+  if (enabled()) {
+    insert(key, value);
+    if (disk_) disk_->store(key, *value);
+  }
+  return value;
+}
+
 std::shared_ptr<const ModuleBuild> PrefixCache::build(
     const ir::Module& base, const std::vector<passes::PassId>& ids,
     std::uint64_t salt) const {
   const std::size_t n = ids.size();
   bump(1, &PrefixCacheStats::builds);
   OBS_COUNTER_INC("citroen_prefix_cache_builds_total");
-  const auto keys = enabled() ? prefix_keys(base.name, ids, salt)
-                              : std::vector<std::uint64_t>{};
+  const std::uint64_t key = build_key(base.name, ids, salt);
 
   if (enabled()) {
-    if (auto hit = lookup(keys[n], /*need_finalized=*/true)) {
+    // A RAM miss probes the persistent tier. A disk hit promotes into RAM
+    // (so subsequent builds are O(1) again) and counts like a full hit —
+    // the stored build is bit-identical to what running the sequence
+    // would produce, so consumers cannot tell which path served them.
+    auto hit = lookup(key);
+    if (hit) {
+      OBS_INSTANT("prefix_full_hit", "cache");
+    } else if (disk_ && (hit = disk_->load(key))) {
+      insert(key, hit);
+      OBS_INSTANT("prefix_disk_hit", "cache");
+    }
+    if (hit) {
       bump(n, &PrefixCacheStats::passes_saved);
       bump(1, &PrefixCacheStats::full_hits);
-      OBS_INSTANT("prefix_full_hit", "cache");
       OBS_COUNTER_INC("citroen_prefix_cache_full_hits_total");
       OBS_COUNTER_ADD("citroen_prefix_cache_passes_saved_total", n);
       return hit;
     }
-    // RAM miss: probe the persistent tier. A disk hit promotes into RAM
-    // (so subsequent builds are O(1) again) and counts like a full hit —
-    // the stored build is bit-identical to what running the sequence
-    // would produce, so consumers cannot tell which path served them.
-    if (disk_) {
-      if (auto hit = disk_->load(keys[n])) {
-        insert(keys[n], hit, /*finalized=*/true);
-        bump(n, &PrefixCacheStats::passes_saved);
-        bump(1, &PrefixCacheStats::full_hits);
-        OBS_INSTANT("prefix_disk_hit", "cache");
-        OBS_COUNTER_INC("citroen_prefix_cache_full_hits_total");
-        OBS_COUNTER_ADD("citroen_prefix_cache_passes_saved_total", n);
-        return hit;
-      }
-    }
   }
+  OBS_INSTANT("prefix_miss", "cache");
+  OBS_COUNTER_INC("citroen_prefix_cache_misses_total");
 
-  // Resume from the deepest usable snapshot (stride-multiple prefixes).
   auto out = std::make_shared<ModuleBuild>();
-  std::size_t start = 0;
-  if (enabled() && config_.snapshot_stride > 0) {
-    const auto stride = static_cast<std::size_t>(config_.snapshot_stride);
-    for (std::size_t p = n > 0 ? ((n - 1) / stride) * stride : 0;
-         p >= stride; p -= stride) {
-      const auto snap = lookup(keys[p], /*need_finalized=*/false);
-      if (snap && snap->ok) {
-        out->module = snap->module;
-        out->stats = snap->stats;
-        start = p;
-        bump(p, &PrefixCacheStats::passes_saved);
-        bump(1, &PrefixCacheStats::prefix_hits);
-        OBS_INSTANT_ARG("prefix_snapshot_hit", "cache", "depth", p);
-        OBS_COUNTER_INC("citroen_prefix_cache_prefix_hits_total");
-        OBS_COUNTER_ADD("citroen_prefix_cache_passes_saved_total", p);
-        break;
-      }
-    }
-  }
-  if (start == 0) {
-    out->module = base;
-    OBS_INSTANT("prefix_miss", "cache");
-    OBS_COUNTER_INC("citroen_prefix_cache_misses_total");
-  }
-
+  out->module = base;
   const auto& reg = passes::PassRegistry::instance();
-  const auto stride = static_cast<std::size_t>(
-      std::max(1, config_.snapshot_stride));
   const PassProgressHook hook =
       g_pass_progress_hook.load(std::memory_order_relaxed);
-  // One analysis cache for the whole suffix being built: analyses preserved
-  // by one pass are served from cache to the next, exactly as run_sequence
-  // does (snapshot restore above rebuilt out->module, so the cache starts
-  // empty and keys on the final in-place module).
+  // One analysis cache for the whole pipeline: analyses preserved by one
+  // pass are served from cache to the next, exactly as run_sequence does.
   passes::PassManager pm{passes::PassManagerOptions::from_env()};
-  for (std::size_t i = start; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     try {
       if (hook) hook(ids[i]);
       passes::StatsRegistry pass_stats;
       pm.run_pass(*reg.create(ids[i]), out->module, pass_stats);
       out->stats.merge(pass_stats);
     } catch (const std::exception& e) {
-      bump(i - start + 1, &PrefixCacheStats::passes_run);
+      bump(i + 1, &PrefixCacheStats::passes_run);
       auto failed = std::make_shared<ModuleBuild>();
       failed->crashed = true;
       failed->error = e.what();
-      if (enabled()) {
-        insert(keys[n], failed, /*finalized=*/true);
-        if (disk_) disk_->store(keys[n], *failed);
-      }
-      return failed;
-    }
-    // Snapshot completed stride-multiple prefixes for future builds.
-    const std::size_t done = i + 1;
-    if (enabled() && done % stride == 0 && done < n) {
-      auto snap = std::make_shared<ModuleBuild>();
-      snap->ok = true;
-      snap->module = out->module;
-      snap->stats = out->stats;
-      insert(keys[done], snap, /*finalized=*/false);
-      OBS_INSTANT_ARG("prefix_snapshot_store", "cache", "depth", done);
-      OBS_COUNTER_INC("citroen_prefix_cache_snapshots_total");
+      return finalize(key, std::move(failed));
     }
   }
-  bump(n - start, &PrefixCacheStats::passes_run);
+  bump(n, &PrefixCacheStats::passes_run);
 
   const auto verrs = ir::verify_module(out->module);
   if (!verrs.empty()) {
     auto failed = std::make_shared<ModuleBuild>();
     failed->error = verrs.front();
-    if (enabled()) {
-      insert(keys[n], failed, /*finalized=*/true);
-      if (disk_) disk_->store(keys[n], *failed);
-    }
-    return failed;
+    return finalize(key, std::move(failed));
   }
 
   out->ok = true;
   const std::string text = ir::print_module(out->module);
   out->print_hash = fnv_bytes(kFnvOffset, text.data(), text.size());
   out->code_size = out->module.code_size();
-  if (enabled()) {
-    insert(keys[n], out, /*finalized=*/true);
-    if (disk_) disk_->store(keys[n], *out);
-  }
-  return out;
+  return finalize(key, std::move(out));
 }
 
 }  // namespace citroen::sim

@@ -1,21 +1,23 @@
 #pragma once
-// Pipeline-prefix memoization for module builds.
+// Whole-pipeline memoization for module builds.
 //
-// Candidate pass sequences produced by evolutionary generators share long
-// prefixes (a 1+lambda mutation of a 40-pass incumbent keeps most of it),
-// yet the seed evaluator re-ran every pipeline from pass 0. This cache
-// interns sequences to dense pass ids, hashes (module, pass-id prefix)
-// and stores cloned intermediate module states at a fixed stride, so a
-// candidate sharing a k-pass prefix with any earlier candidate resumes
-// compilation at the snapshot below k — plus a finalized entry per full
-// sequence so exact re-builds (retries, duplicate candidates, replayed
-// batches) are O(1).
+// Pass names are interned to dense ids, and each finalized build (the
+// module after its whole sequence, verified and hashed, or the error
+// that stopped it) is keyed by a hash of (salt, module name, pass ids).
+// Exact re-builds (retries, duplicate candidates, replayed batches) are
+// then O(1); any other build runs its whole sequence from the base
+// module.
 //
-// Determinism: passes are pure functions of the module, so a build that
-// resumes from a snapshot is bit-identical to one that starts from
-// scratch. All mutation is guarded by mutex-striped shards with an LRU
-// byte budget; results are returned as shared_ptr so eviction never
-// invalidates a consumer.
+// Intermediate states are not kept: a snapshot every few passes would
+// let a candidate resume below a shared prefix, but each costs a deep
+// module copy plus LRU churn under a shard lock, and on the tuning
+// workloads that costs more CPU than the pass runs it saves (DESIGN.md,
+// "Performance architecture").
+//
+// Determinism: passes are pure functions of the module, so a cached
+// build is bit-identical to one run from scratch. All mutation is
+// guarded by mutex-striped shards with an LRU byte budget; results are
+// returned as shared_ptr so eviction never invalidates a consumer.
 
 #include <cstdint>
 #include <list>
@@ -34,21 +36,22 @@ struct PrefixCacheConfig {
   /// Total byte budget across all shards. 0 disables storage entirely
   /// (every build then runs from scratch, still correctly).
   std::size_t byte_budget = std::size_t{64} << 20;
-  /// Snapshot the intermediate module every this many passes.
-  int snapshot_stride = 4;
   /// Mutex striping width.
   int shards = 8;
   /// Directory for the persistent disk tier (sim/cache_disk.hpp). Empty
   /// falls back to $CITROEN_CACHE_DIR; still empty disables the tier.
-  /// Only finalized entries spill (stride snapshots stay RAM-only); any
-  /// torn/corrupt entry on disk loads as a miss, never an error.
+  /// Every entry is a finalized build and spills; any torn/corrupt
+  /// entry on disk loads as a miss, never an error.
   std::string disk_dir;
 };
 
 struct PrefixCacheStats {
   std::uint64_t builds = 0;        ///< build() calls
   std::uint64_t full_hits = 0;     ///< whole sequence already finalized
-  std::uint64_t prefix_hits = 0;   ///< resumed from an intermediate state
+  /// Always 0: builds no longer resume from intermediate states. Kept
+  /// because the perf ledger and the Inspect wire (cache_prefix_hits)
+  /// still read it.
+  std::uint64_t prefix_hits = 0;
   std::uint64_t passes_run = 0;    ///< pass executions actually paid for
   std::uint64_t passes_saved = 0;  ///< pass executions avoided
   std::uint64_t insertions = 0;
@@ -90,7 +93,7 @@ class PrefixCache {
  public:
   explicit PrefixCache(PrefixCacheConfig config = {});
 
-  /// Build `base` under `ids`, resuming from the longest cached prefix.
+  /// Build `base` under `ids`, or return the cached finalized build.
   /// Thread-safe; never throws (pass exceptions become failed results).
   /// `salt` is mixed into every cache key; a cache shared across
   /// evaluators passes a content hash of the module here so two modules
@@ -121,7 +124,6 @@ class PrefixCache {
     std::shared_ptr<const ModuleBuild> value;
     std::list<std::uint64_t>::iterator lru_it;
     std::size_t bytes = 0;
-    bool finalized = false;  ///< verified + hashed full-sequence result
   };
   struct Shard {
     mutable std::mutex mu;
@@ -131,10 +133,12 @@ class PrefixCache {
   };
 
   Shard& shard_for(std::uint64_t key) const;
-  std::shared_ptr<const ModuleBuild> lookup(std::uint64_t key,
-                                            bool need_finalized) const;
-  void insert(std::uint64_t key, std::shared_ptr<const ModuleBuild> value,
-              bool finalized) const;
+  std::shared_ptr<const ModuleBuild> lookup(std::uint64_t key) const;
+  void insert(std::uint64_t key,
+              const std::shared_ptr<const ModuleBuild>& value) const;
+  /// Cache a finished build in RAM and on disk; returns it.
+  std::shared_ptr<const ModuleBuild> finalize(
+      std::uint64_t key, std::shared_ptr<const ModuleBuild> value) const;
   void bump(std::uint64_t n, std::uint64_t PrefixCacheStats::* field) const;
 
   PrefixCacheConfig config_;

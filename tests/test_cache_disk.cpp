@@ -1,5 +1,6 @@
-// Tests for the prefix cache's persistent disk tier (sim/cache_disk.hpp)
-// and the MiniIR codec beneath it (ir/serialize.hpp).
+// Tests for the prefix cache's persistent disk tier (sim/cache_disk.hpp),
+// the MiniIR codec beneath it (ir/serialize.hpp), and the evaluator's
+// by-reference assembly of binaries from cached (RAM or disk) builds.
 //
 // The property half is the contract the tier advertises: ANY torn,
 // bit-flipped, zeroed or truncated entry on disk must load as a miss
@@ -290,7 +291,7 @@ TEST(PrefixCacheDiskTier, ClearKeepsDiskEntries) {
 namespace {
 
 /// The smallest interesting module: `i64 main() { ret <k> }`. Its
-/// snapshot payload is a rounding error next to the fixed per-entry
+/// build payload is a rounding error next to the fixed per-entry
 /// bookkeeping (map node, LRU node, twice the 8-byte key), which is
 /// exactly the regime the pre-fix accounting got wrong.
 ir::Module tiny_module() {
@@ -314,7 +315,6 @@ TEST(PrefixCacheBudget, AccountsKeyAndNodeOverheadPerEntry) {
   const auto ids = passes::intern_sequence({"mem2reg", "dce"});
   sim::PrefixCacheConfig cfg;
   cfg.byte_budget = 8 << 10;
-  cfg.snapshot_stride = 1000;  // finalized entries only
   cfg.shards = 1;
   sim::PrefixCache cache(cfg);
 
@@ -325,4 +325,54 @@ TEST(PrefixCacheBudget, AccountsKeyAndNodeOverheadPerEntry) {
   EXPECT_GT(st.evictions, 0u)
       << "64 distinct entries must overflow an 8 KiB budget once the "
          "per-entry key/node overhead is counted";
+}
+
+// ---- evaluator assembly over cached builds ----------------------------------
+
+TEST(EvaluatorAssembly, HashAndSizeMatchTheMaterializedProgram) {
+  // The evaluator composes a binary's hash and size from cached per-module
+  // builds without copying IR; both must equal what the program itself
+  // yields, for builds run in RAM and for builds decoded from disk.
+  const auto base = bench_suite::make_program("security_sha");
+  ASSERT_GE(base.modules.size(), 2u);
+  const std::vector<std::string> seq = {"mem2reg", "instcombine", "gvn",
+                                        "simplifycfg", "dce"};
+  // No tuned module, one tuned module, every module tuned.
+  std::vector<sim::SequenceAssignment> cases(3);
+  cases[1][base.modules.front().name] = seq;
+  for (const auto& m : base.modules) cases[2][m.name] = seq;
+
+  sim::PrefixCacheConfig cfg;
+  cfg.disk_dir = scratch_dir("assembly");
+  std::vector<std::uint64_t> hashes;
+  const auto check = [&](sim::ProgramEvaluator& ev) {
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      SCOPED_TRACE("case " + std::to_string(i));
+      const auto co = ev.compile(cases[i], /*keep_program=*/true);
+      ASSERT_TRUE(co.valid) << co.why_invalid;
+      ASSERT_TRUE(co.program);
+      std::size_t size = 0;
+      for (const auto& m : co.program->modules) size += m.code_size();
+      EXPECT_EQ(co.binary_hash, sim::program_hash(*co.program));
+      EXPECT_EQ(co.code_size, size);
+      const auto eo = ev.evaluate(cases[i]);
+      EXPECT_TRUE(eo.valid) << eo.why_invalid;  // the materialized run
+      EXPECT_EQ(eo.binary_hash, co.binary_hash);
+      EXPECT_EQ(eo.code_size, co.code_size);
+      if (hashes.size() < cases.size()) hashes.push_back(co.binary_hash);
+      EXPECT_EQ(co.binary_hash, hashes[i]);
+    }
+  };
+  {
+    sim::ProgramEvaluator cold(base, sim::arm_a57_model());
+    cold.set_prefix_cache_config(cfg);
+    check(cold);
+    EXPECT_GE(cold.prefix_cache_stats().disk_stores, base.modules.size());
+  }
+  sim::ProgramEvaluator warm(base, sim::arm_a57_model());
+  warm.set_prefix_cache_config(cfg);
+  check(warm);
+  EXPECT_EQ(warm.prefix_cache_stats().passes_run, 0u);
+  EXPECT_GE(warm.prefix_cache_stats().disk_hits, base.modules.size());
+  fs::remove_all(cfg.disk_dir);
 }

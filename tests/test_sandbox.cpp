@@ -333,9 +333,9 @@ TEST(SandboxProtocol, ResultRoundTripsObsDeltas) {
   ev.ts_ns = 123456789;
   res.obs_events.push_back(ev);
   ev.phase = 'I';
-  ev.name = "prefix_snapshot_hit";
-  ev.cat = "cache";
-  ev.arg_name = "depth";
+  ev.name = "dist_reassign";
+  ev.cat = "dist";
+  ev.arg_name = "attempt";
   ev.arg = 12;
   ev.str_arg = "detail \"quoted\"";
   res.obs_events.push_back(ev);
@@ -352,7 +352,7 @@ TEST(SandboxProtocol, ResultRoundTripsObsDeltas) {
   EXPECT_EQ(back.obs_events[0].name, "build");
   EXPECT_EQ(back.obs_events[0].cat, "eval");
   EXPECT_EQ(back.obs_events[0].ts_ns, 123456789u);
-  EXPECT_EQ(back.obs_events[1].arg_name, "depth");
+  EXPECT_EQ(back.obs_events[1].arg_name, "attempt");
   EXPECT_EQ(back.obs_events[1].arg, 12u);
   EXPECT_EQ(back.obs_events[1].str_arg, "detail \"quoted\"");
   ASSERT_EQ(back.obs_counters.size(), 2u);

@@ -623,11 +623,13 @@ TEST(ServeDaemon, DrainCheckpointsInFlightJobsAndExits75) {
   // Pump until the first progress frame, then stop immediately: the job
   // is provably mid-run (a few evals out of 400) and cannot finish
   // inside the 0.2 s drain deadline. Pumping in short slices instead of
-  // one fixed window keeps this true under sanitizer slowdowns too.
+  // one fixed window keeps this true under sanitizer slowdowns too. Each
+  // slice runs to its end even after a frame arrives, so it must stay
+  // short next to the job: the whole job takes well under a second.
   std::atomic<bool> progressed{false};
   const double pump_deadline = sandbox::monotonic_seconds() + 60.0;
   while (!progressed.load() && sandbox::monotonic_seconds() < pump_deadline) {
-    client.wait_result(*id, 0.5, [&](std::uint64_t done, std::uint64_t) {
+    client.wait_result(*id, 0.02, [&](std::uint64_t done, std::uint64_t) {
       if (done > 0) progressed = true;
     });
   }
