@@ -577,7 +577,16 @@ void WorkerPool::dispatch(Worker& w, std::size_t job_index) const {
       obs::emit('s', "dist_job", "dist", job.id);
     }
   }
-  if (sandbox::write_frame(fork ? w.job_fd : w.fd, frame) != IoStatus::Ok) {
+  // TEST HOOK: an external SIGKILL mid-job. The worker is stopped before
+  // the job reaches it, so however fast the job is, the worker cannot
+  // finish it and reply before the kill lands.
+  const bool kill_hook =
+      config_.kill_job_id >= 0 &&
+      job.id == static_cast<std::uint64_t>(config_.kill_job_id) && w.pid > 0;
+  if (kill_hook) ::kill(w.pid, SIGSTOP);
+  const IoStatus wrote = sandbox::write_frame(fork ? w.job_fd : w.fd, frame);
+  if (kill_hook) ::kill(w.pid, SIGKILL);
+  if (wrote != IoStatus::Ok) {
     if (fork) {
       // The worker died idle, after its previous job: nothing it ran
       // provoked this, so the job goes back on the queue unblamed.
@@ -588,9 +597,6 @@ void WorkerPool::dispatch(Worker& w, std::size_t job_index) const {
     return fail(w, fork ? FailureKind::WorkerCrash : FailureKind::PeerLost,
                 "job dispatch failed");
   }
-  if (config_.kill_job_id >= 0 &&
-      job.id == static_cast<std::uint64_t>(config_.kill_job_id) && w.pid > 0)
-    ::kill(w.pid, SIGKILL);  // TEST HOOK: an external SIGKILL mid-job
 }
 
 void WorkerPool::service(Worker& w) const {

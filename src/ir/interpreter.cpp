@@ -1,10 +1,15 @@
 #include "ir/interpreter.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <new>
+#include <string_view>
+#include <unordered_map>
 
 #include "ir/analysis.hpp"
 
@@ -60,16 +65,83 @@ std::int64_t wrap_int(Type t, std::int64_t v) {
   }
 }
 
-struct FnInfo {
+/// One thread's simulated memory, reused from run to run.
+///
+/// A run's image is its globals plus a 4 MiB stack, yet a run writes
+/// only its globals and the bottom of that stack; zero-filling a fresh
+/// image for every run cost more than many runs themselves. So each
+/// thread keeps one anonymous MAP_NORESERVE mapping, whose pages stay
+/// unbacked (and read as zero) until written, and before each run zeroes
+/// again only the bytes below the highest address the previous run wrote.
+class Arena {
+ public:
+  Arena() = default;
+  Arena(const Arena&) = delete;
+  Arena& operator=(const Arena&) = delete;
+  ~Arena() { unmap(); }
+
+  /// An all-zero image of at least `bytes` bytes, valid until the next
+  /// acquire() on this thread. Throws std::bad_alloc if it cannot be made.
+  std::uint8_t* acquire(std::size_t bytes) {
+    if (bytes > capacity_) {
+      unmap();
+      const std::size_t cap = (bytes + kGranule - 1) & ~(kGranule - 1);
+      void* p = ::mmap(nullptr, cap, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+      if (p == MAP_FAILED) throw std::bad_alloc();
+      base_ = static_cast<std::uint8_t*>(p);
+      capacity_ = cap;
+    } else if (written_ > 0) {
+      std::memset(base_, 0, written_);
+    }
+    written_ = 0;
+    return base_;
+  }
+
+  /// Bytes at or above `end` are still zero.
+  void written_below(std::size_t end) { written_ = std::max(written_, end); }
+
+ private:
+  /// Mappings grow in whole granules, so one mapping holds the image of
+  /// every suite program (globals of at most ~50 KB, plus the stack).
+  static constexpr std::size_t kGranule = std::size_t{1} << 20;
+
+  void unmap() {
+    if (base_) ::munmap(base_, capacity_);
+    base_ = nullptr;
+    capacity_ = 0;
+    written_ = 0;
+  }
+
+  std::uint8_t* base_ = nullptr;
+  std::size_t capacity_ = 0;
+  std::size_t written_ = 0;
+};
+
+thread_local Arena t_arena;
+
+/// What linking fixes about one function.
+struct LinkedFn {
+  const Function* f = nullptr;
   int module_index = 0;
-  double spill_overhead = 0.0;  ///< extra cycles per executed instruction
-  double icache_penalty = 0.0;  ///< extra cycles per call
+  double call_charge = 0.0;    ///< call overhead + i-cache penalty
+  std::size_t first_slot = 0;  ///< index of its instruction 0's Slot
+};
+
+/// What linking fixes about one instruction, plus its predictor bit.
+struct Slot {
+  double charge = 0.0;       ///< cost per execution, spill overhead included
+  std::int32_t callee = -1;  ///< Call: LinkedFn index, -1 if unresolved
+  std::int8_t taken = -1;    ///< CondBr: last direction, -1 before the first
 };
 
 class Machine {
  public:
   Machine(const Program& p, const CostModel& cm, const ExecLimits& lim)
       : p_(p), cm_(cm), lim_(lim) {}
+  Machine(const Machine&) = delete;
+  Machine& operator=(const Machine&) = delete;
+  ~Machine() { t_arena.written_below(written_); }
 
   ExecResult run();
 
@@ -79,45 +151,44 @@ class Machine {
     bool hung = false;  ///< instruction budget ran out (timeout analogue)
   };
 
-  const Function& fn(int mi, int fi) const {
-    return p_.modules[static_cast<std::size_t>(mi)]
-        .functions[static_cast<std::size_t>(fi)];
-  }
-
-  void check_mem(std::int64_t addr, std::int64_t bytes) {
-    if (addr < 4096 || bytes < 0 ||
-        addr + bytes > static_cast<std::int64_t>(mem_.size()))
+  void check_mem(std::int64_t addr, std::int64_t bytes) const {
+    if (addr < 4096 || bytes < 0 || addr + bytes > size_)
       throw Trap{"memory access out of bounds"};
   }
 
-  std::int64_t read_int(std::int64_t addr, int bytes) {
+  void check_write(std::int64_t addr, std::int64_t bytes) {
+    check_mem(addr, bytes);
+    written_ = std::max(written_, static_cast<std::size_t>(addr + bytes));
+  }
+
+  std::int64_t read_int(std::int64_t addr, int bytes) const {
     check_mem(addr, bytes);
     std::uint64_t raw = 0;
-    std::memcpy(&raw, mem_.data() + addr, static_cast<std::size_t>(bytes));
+    std::memcpy(&raw, mem_ + addr, static_cast<std::size_t>(bytes));
     // Sign-extend from the loaded width.
     const int shift = 64 - 8 * bytes;
     return (static_cast<std::int64_t>(raw << shift)) >> shift;
   }
 
   void write_int(std::int64_t addr, int bytes, std::int64_t v) {
-    check_mem(addr, bytes);
+    check_write(addr, bytes);
     std::uint64_t raw = static_cast<std::uint64_t>(v);
-    std::memcpy(mem_.data() + addr, &raw, static_cast<std::size_t>(bytes));
+    std::memcpy(mem_ + addr, &raw, static_cast<std::size_t>(bytes));
   }
 
-  double read_f64(std::int64_t addr) {
+  double read_f64(std::int64_t addr) const {
     check_mem(addr, 8);
     double v;
-    std::memcpy(&v, mem_.data() + addr, 8);
+    std::memcpy(&v, mem_ + addr, 8);
     return v;
   }
 
   void write_f64(std::int64_t addr, double v) {
-    check_mem(addr, 8);
-    std::memcpy(mem_.data() + addr, &v, 8);
+    check_write(addr, 8);
+    std::memcpy(mem_ + addr, &v, 8);
   }
 
-  RtVal load_value(Type t, std::int64_t addr) {
+  RtVal load_value(Type t, std::int64_t addr) const {
     RtVal v;
     const int eb = t.elem_bytes();
     for (int l = 0; l < t.lanes; ++l) {
@@ -146,36 +217,48 @@ class Machine {
     module_cycles_[static_cast<std::size_t>(module_index)] += c;
   }
 
-  RtVal exec_call(int mi, int fi, const std::vector<RtVal>& args, int depth);
+  /// The zeroed value frame of a call at `depth`, `n` values long. Frames
+  /// are kept per depth and reused; a frame's storage stays put while
+  /// deeper frames are added.
+  RtVal* frame(int depth, std::size_t n) {
+    const auto d = static_cast<std::size_t>(depth);
+    if (frames_.size() <= d) frames_.resize(d + 1);
+    frames_[d].assign(n, RtVal{});
+    return frames_[d].data();
+  }
+
+  /// Runs function `fn` (a LinkedFn index) in the frame already made for
+  /// `depth`, whose first slots hold the arguments.
+  RtVal exec_call(int fn, int depth);
 
   const Program& p_;
   const CostModel& cm_;
   const ExecLimits& lim_;
 
-  std::vector<std::uint8_t> mem_;
+  std::uint8_t* mem_ = nullptr;  ///< this thread's arena image
+  std::int64_t size_ = 0;        ///< bytes of the image this run may use
+  std::size_t written_ = 0;      ///< this run wrote only below this
   std::int64_t sp_ = 0;  ///< stack grows upward from the stack base
   std::vector<std::vector<std::int64_t>> global_addr_;  ///< [module][global]
-  std::unordered_map<std::string, std::pair<int, int>> symbols_;
-  std::vector<std::vector<FnInfo>> fn_info_;
+  std::vector<LinkedFn> fns_;  ///< every function, in module order
+  std::vector<Slot> slots_;    ///< every function's instructions
+  std::vector<std::vector<RtVal>> frames_;             ///< [call depth]
+  std::vector<std::pair<ValueId, RtVal>> phi_copies_;  ///< one block's phis
 
   double cycles_ = 0.0;
   std::vector<double> module_cycles_;
-  std::unordered_map<std::string, double> function_cycles_;
   std::uint64_t executed_ = 0;
-  std::unordered_map<const Instr*, bool> predictor_;  ///< 1-bit per branch
 };
 
-RtVal Machine::exec_call(int mi, int fi, const std::vector<RtVal>& args,
-                         int depth) {
+RtVal Machine::exec_call(int fn, int depth) {
   if (depth > lim_.max_call_depth) throw Trap{"call depth exceeded"};
-  const Function& f = fn(mi, fi);
-  const FnInfo& info = fn_info_[static_cast<std::size_t>(mi)]
-                               [static_cast<std::size_t>(fi)];
-  charge(cm_.call_overhead + info.icache_penalty, info.module_index);
-  const double fn_charge_start = cycles_;
+  const LinkedFn& linked = fns_[static_cast<std::size_t>(fn)];
+  const Function& f = *linked.f;
+  const int mi = linked.module_index;
+  charge(linked.call_charge, mi);
 
-  std::vector<RtVal> vals(f.instrs.size());
-  for (std::size_t a = 0; a < args.size(); ++a) vals[a] = args[a];
+  RtVal* const vals = frames_[static_cast<std::size_t>(depth)].data();
+  Slot* const slots = slots_.data() + linked.first_slot;
 
   const std::int64_t sp_save = sp_;
   BlockId cur = 0;
@@ -186,22 +269,19 @@ RtVal Machine::exec_call(int mi, int fi, const std::vector<RtVal>& args,
     const BasicBlock& bb = f.block(cur);
 
     // Resolve phis as a parallel copy based on the incoming edge.
-    {
-      std::vector<std::pair<ValueId, RtVal>> phi_updates;
-      for (ValueId id : bb.insts) {
-        const Instr& in = f.instr(id);
-        if (in.dead()) continue;
-        if (in.op != Opcode::Phi) break;  // phis are grouped at the top
-        for (std::size_t k = 0; k < in.phi_blocks.size(); ++k) {
-          if (in.phi_blocks[k] == prev) {
-            phi_updates.emplace_back(
-                id, vals[static_cast<std::size_t>(in.ops[k])]);
-            break;
-          }
+    phi_copies_.clear();
+    for (ValueId id : bb.insts) {
+      const Instr& in = f.instr(id);
+      if (in.dead()) continue;
+      if (in.op != Opcode::Phi) break;  // phis are grouped at the top
+      for (std::size_t k = 0; k < in.phi_blocks.size(); ++k) {
+        if (in.phi_blocks[k] == prev) {
+          phi_copies_.emplace_back(id, vals[in.ops[k]]);
+          break;
         }
       }
-      for (auto& [id, v] : phi_updates) vals[static_cast<std::size_t>(id)] = v;
     }
+    for (const auto& [id, v] : phi_copies_) vals[id] = v;
 
     bool moved = false;
     for (ValueId id : bb.insts) {
@@ -209,15 +289,11 @@ RtVal Machine::exec_call(int mi, int fi, const std::vector<RtVal>& args,
       if (in.dead() || in.op == Opcode::Phi) continue;
       if (++executed_ > lim_.max_instructions)
         throw Trap{"instruction budget exhausted (non-terminating?)", true};
-      charge(cm_.instr_cost(in) + info.spill_overhead, info.module_index);
+      charge(slots[id].charge, mi);
 
-      auto op0 = [&]() -> const RtVal& {
-        return vals[static_cast<std::size_t>(in.ops[0])];
-      };
-      auto op1 = [&]() -> const RtVal& {
-        return vals[static_cast<std::size_t>(in.ops[1])];
-      };
-      RtVal& out = vals[static_cast<std::size_t>(id)];
+      auto op0 = [&]() -> const RtVal& { return vals[in.ops[0]]; };
+      auto op1 = [&]() -> const RtVal& { return vals[in.ops[1]]; };
+      RtVal& out = vals[id];
 
       switch (in.op) {
         case Opcode::ConstInt:
@@ -325,8 +401,7 @@ RtVal Machine::exec_call(int mi, int fi, const std::vector<RtVal>& args,
           break;
         }
         case Opcode::Select:
-          out = op0().i[0] ? vals[static_cast<std::size_t>(in.ops[1])]
-                           : vals[static_cast<std::size_t>(in.ops[2])];
+          out = op0().i[0] ? vals[in.ops[1]] : vals[in.ops[2]];
           break;
         case Opcode::SExt:
         case Opcode::Trunc:
@@ -362,8 +437,7 @@ RtVal Machine::exec_call(int mi, int fi, const std::vector<RtVal>& args,
           sp_ = (sp_ + 15) & ~15LL;
           out.i[0] = sp_;
           sp_ += in.alloca_bytes;
-          if (sp_ > static_cast<std::int64_t>(mem_.size()))
-            throw Trap{"stack overflow"};
+          if (sp_ > size_) throw Trap{"stack overflow"};
           break;
         }
         case Opcode::GlobalAddr:
@@ -382,26 +456,25 @@ RtVal Machine::exec_call(int mi, int fi, const std::vector<RtVal>& args,
         case Opcode::Memset: {
           const std::int64_t dst = op0().i[0];
           const std::int64_t byte = op1().i[0];
-          const std::int64_t size = vals[static_cast<std::size_t>(in.ops[2])].i[0];
-          check_mem(dst, size);
-          std::memset(mem_.data() + dst, static_cast<int>(byte & 0xff),
+          const std::int64_t size = vals[in.ops[2]].i[0];
+          check_write(dst, size);
+          std::memset(mem_ + dst, static_cast<int>(byte & 0xff),
                       static_cast<std::size_t>(size));
           charge(cm_.mem_intrinsic_base +
                      cm_.mem_intrinsic_per_byte * static_cast<double>(size),
-                 info.module_index);
+                 mi);
           break;
         }
         case Opcode::Memcpy: {
           const std::int64_t dst = op0().i[0];
           const std::int64_t src = op1().i[0];
-          const std::int64_t size = vals[static_cast<std::size_t>(in.ops[2])].i[0];
-          check_mem(dst, size);
+          const std::int64_t size = vals[in.ops[2]].i[0];
+          check_write(dst, size);
           check_mem(src, size);
-          std::memmove(mem_.data() + dst, mem_.data() + src,
-                       static_cast<std::size_t>(size));
+          std::memmove(mem_ + dst, mem_ + src, static_cast<std::size_t>(size));
           charge(cm_.mem_intrinsic_base +
                      cm_.mem_intrinsic_per_byte * static_cast<double>(size),
-                 info.module_index);
+                 mi);
           break;
         }
         case Opcode::VSplat:
@@ -427,14 +500,14 @@ RtVal Machine::exec_call(int mi, int fi, const std::vector<RtVal>& args,
           break;
         }
         case Opcode::Call: {
-          const auto it = symbols_.find(in.callee);
-          if (it == symbols_.end()) throw Trap{"unknown symbol " + in.callee};
-          std::vector<RtVal> call_args;
-          call_args.reserve(in.ops.size());
-          for (ValueId a : in.ops)
-            call_args.push_back(vals[static_cast<std::size_t>(a)]);
-          out = exec_call(it->second.first, it->second.second, call_args,
-                          depth + 1);
+          const std::int32_t target = slots[id].callee;
+          if (target < 0) throw Trap{"unknown symbol " + in.callee};
+          const std::size_t n =
+              fns_[static_cast<std::size_t>(target)].f->instrs.size();
+          RtVal* const args = frame(depth + 1, n);
+          const std::size_t nargs = std::min(in.ops.size(), n);
+          for (std::size_t a = 0; a < nargs; ++a) args[a] = vals[in.ops[a]];
+          out = exec_call(target, depth + 1);
           break;
         }
         case Opcode::Br:
@@ -444,21 +517,17 @@ RtVal Machine::exec_call(int mi, int fi, const std::vector<RtVal>& args,
           break;
         case Opcode::CondBr: {
           const bool taken = op0().i[0] != 0;
-          auto [slot, inserted] = predictor_.try_emplace(&in, taken);
-          if (!inserted && slot->second != taken)
-            charge(cm_.mispredict, info.module_index);
-          slot->second = taken;
+          std::int8_t& last = slots[id].taken;
+          if (last >= 0 && (last != 0) != taken) charge(cm_.mispredict, mi);
+          last = taken ? 1 : 0;
           prev = cur;
           cur = taken ? in.succs[0] : in.succs[1];
           moved = true;
           break;
         }
         case Opcode::Ret:
-          if (!in.ops.empty()) ret = vals[static_cast<std::size_t>(in.ops[0])];
+          if (!in.ops.empty()) ret = vals[in.ops[0]];
           sp_ = sp_save;
-          // Inclusive attribution (callee time counts for the caller too),
-          // matching how `perf` call stacks are usually folded.
-          function_cycles_[f.name] += cycles_ - fn_charge_start;
           return ret;
         case Opcode::Arg:
         case Opcode::Tombstone:
@@ -474,7 +543,7 @@ RtVal Machine::exec_call(int mi, int fi, const std::vector<RtVal>& args,
 ExecResult Machine::run() {
   ExecResult result;
 
-  // ---- link: lay out globals and build the symbol table -----------------
+  // ---- lay out globals and the stack -----------------------------------
   std::int64_t addr = 4096;
   global_addr_.resize(p_.modules.size());
   for (std::size_t mi = 0; mi < p_.modules.size(); ++mi) {
@@ -484,54 +553,68 @@ ExecResult Machine::run() {
     }
   }
   const std::int64_t stack_base = addr;
-  const std::int64_t total =
-      std::min<std::int64_t>(stack_base + (1 << 22),
-                             static_cast<std::int64_t>(lim_.max_memory_bytes));
-  mem_.assign(static_cast<std::size_t>(total), 0);
+  size_ = static_cast<std::int64_t>(
+      std::min(static_cast<std::uint64_t>(stack_base) + (1 << 22),
+               lim_.max_memory_bytes));
+  mem_ = t_arena.acquire(static_cast<std::size_t>(size_));
   sp_ = stack_base;
   for (std::size_t mi = 0; mi < p_.modules.size(); ++mi) {
     for (std::size_t gi = 0; gi < p_.modules[mi].globals.size(); ++gi) {
-      const auto& g = p_.modules[mi].globals[gi];
-      std::memcpy(mem_.data() + global_addr_[mi][gi], g.init.data(),
-                  g.init.size());
+      const auto& init = p_.modules[mi].globals[gi].init;
+      const std::int64_t at = global_addr_[mi][gi];
+      // A memory limit below the globals' end cuts them short; the rest
+      // lies out of bounds.
+      const std::int64_t n =
+          std::min(static_cast<std::int64_t>(init.size()), size_ - at);
+      if (n <= 0) continue;
+      std::memcpy(mem_ + at, init.data(), static_cast<std::size_t>(n));
+      written_ = std::max(written_, static_cast<std::size_t>(at + n));
     }
   }
 
+  // ---- link: symbols, per-instruction charges and call targets ---------
   module_cycles_.assign(p_.modules.size(), 0.0);
-  fn_info_.resize(p_.modules.size());
+  std::unordered_map<std::string_view, int> symbols;
   for (std::size_t mi = 0; mi < p_.modules.size(); ++mi) {
-    const auto& m = p_.modules[mi];
-    fn_info_[mi].resize(m.functions.size());
-    for (std::size_t fi = 0; fi < m.functions.size(); ++fi) {
-      const Function& f = m.functions[fi];
-      if (!symbols_.emplace(f.name, std::make_pair(static_cast<int>(mi),
-                                                   static_cast<int>(fi)))
-               .second) {
+    for (const Function& f : p_.modules[mi].functions) {
+      if (!symbols.emplace(f.name, static_cast<int>(fns_.size())).second) {
         result.trap = "duplicate symbol " + f.name;
         return result;
       }
-      FnInfo& info = fn_info_[mi][fi];
-      info.module_index = static_cast<int>(mi);
+      double spill_overhead = 0.0;  // extra cycles per executed instruction
       const int pressure = estimate_register_pressure(f);
       if (pressure > cm_.num_registers)
-        info.spill_overhead =
-            cm_.spill_per_instr * (pressure - cm_.num_registers);
+        spill_overhead = cm_.spill_per_instr * (pressure - cm_.num_registers);
+      double icache_penalty = 0.0;  // extra cycles per call
       const auto size = f.live_instr_count();
       if (size > static_cast<std::size_t>(cm_.icache_instrs))
-        info.icache_penalty =
-            cm_.icache_per_call *
-            (static_cast<double>(size) / cm_.icache_instrs - 1.0);
+        icache_penalty = cm_.icache_per_call *
+                         (static_cast<double>(size) / cm_.icache_instrs - 1.0);
+      fns_.push_back(LinkedFn{&f, static_cast<int>(mi),
+                              cm_.call_overhead + icache_penalty,
+                              slots_.size()});
+      for (const Instr& in : f.instrs)
+        slots_.push_back(Slot{cm_.instr_cost(in) + spill_overhead});
+    }
+  }
+  for (const LinkedFn& linked : fns_) {
+    const auto& instrs = linked.f->instrs;
+    for (std::size_t id = 0; id < instrs.size(); ++id) {
+      if (instrs[id].op != Opcode::Call) continue;
+      const auto it = symbols.find(instrs[id].callee);
+      if (it != symbols.end()) slots_[linked.first_slot + id].callee = it->second;
     }
   }
 
-  const auto entry = symbols_.find(p_.entry);
-  if (entry == symbols_.end()) {
+  const auto entry = symbols.find(p_.entry);
+  if (entry == symbols.end()) {
     result.trap = "missing entry symbol " + p_.entry;
     return result;
   }
 
   try {
-    const RtVal r = exec_call(entry->second.first, entry->second.second, {}, 0);
+    frame(0, fns_[static_cast<std::size_t>(entry->second)].f->instrs.size());
+    const RtVal r = exec_call(entry->second, 0);
     result.ok = true;
     result.ret = r.i[0];
   } catch (const Trap& t) {
@@ -543,7 +626,6 @@ ExecResult Machine::run() {
   result.instructions = executed_;
   for (std::size_t mi = 0; mi < p_.modules.size(); ++mi)
     result.module_cycles[p_.modules[mi].name] = module_cycles_[mi];
-  result.function_cycles = std::move(function_cycles_);
   return result;
 }
 

@@ -66,13 +66,16 @@ struct ExecResult {
   std::int64_t ret = 0;        ///< entry function return value (checksum)
   double cycles = 0.0;         ///< modelled total runtime
   std::uint64_t instructions = 0;
-  /// Modelled cycles attributed to each module (per-module "perf" view).
+  /// Modelled cycles attributed to each module (per-module "perf" view),
+  /// inserted in module order: the evaluator sums them in the map's
+  /// iteration order, so that order is part of the result.
   std::unordered_map<std::string, double> module_cycles;
-  /// Modelled cycles attributed to each function symbol.
-  std::unordered_map<std::string, double> function_cycles;
 };
 
-/// Execute `p` from its entry symbol under `cm`.
+/// Execute `p` from its entry symbol under `cm`. Memory the run has not
+/// written reads as zero, except where its globals' initial bytes lie.
+/// Each thread reuses one memory image from run to run; throws
+/// std::bad_alloc when that image cannot be mapped.
 ExecResult interpret(const Program& p, const CostModel& cm = {},
                      const ExecLimits& limits = {});
 

@@ -70,17 +70,21 @@ const char* pred_name(CmpPred p) {
   return "?";
 }
 
-std::string Type::str() const {
-  std::string base;
-  switch (scalar) {
-    case Scalar::Void: base = "void"; break;
-    case Scalar::I1: base = "i1"; break;
-    case Scalar::I16: base = "i16"; break;
-    case Scalar::I32: base = "i32"; break;
-    case Scalar::I64: base = "i64"; break;
-    case Scalar::F64: base = "f64"; break;
-    case Scalar::Ptr: base = "ptr"; break;
+const char* scalar_name(Scalar s) {
+  switch (s) {
+    case Scalar::Void: return "void";
+    case Scalar::I1: return "i1";
+    case Scalar::I16: return "i16";
+    case Scalar::I32: return "i32";
+    case Scalar::I64: return "i64";
+    case Scalar::F64: return "f64";
+    case Scalar::Ptr: return "ptr";
   }
+  return "";
+}
+
+std::string Type::str() const {
+  const std::string base = scalar_name(scalar);
   if (lanes > 1) return "<4 x " + base + ">";
   return base;
 }

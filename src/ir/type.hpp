@@ -65,6 +65,9 @@ struct Type {
   std::string str() const;
 };
 
+/// Name of a scalar type as printed ("i32", "f64", ...).
+const char* scalar_name(Scalar s);
+
 inline constexpr Type kVoid{Scalar::Void, 1};
 inline constexpr Type kI1{Scalar::I1, 1};
 inline constexpr Type kI16{Scalar::I16, 1};

@@ -28,9 +28,9 @@
 // corresponding obs layer is disabled, costing 16 bytes per result.
 //
 // ExecResult ships only the fields the serial evaluation path consumes
-// (ok, trap, hung, ret, cycles, instructions). The per-module/function
-// cycle maps are deliberately dropped: only the evaluator constructor's
-// baseline run reads them, and that run never crosses the IPC boundary.
+// (ok, trap, hung, ret, cycles, instructions). The per-module cycle map
+// is deliberately dropped: only the evaluator constructor's baseline run
+// reads it, and that run never crosses the IPC boundary.
 //
 // The progress cell is the crash-signature side channel: one shared
 // (MAP_SHARED | MAP_ANONYMOUS) cache line per worker holding an atomic

@@ -81,7 +81,7 @@ std::uint64_t program_hash(const ir::Program& p) {
   // binaries across different pass sequences, and lets the evaluator
   // compose the program hash from cached per-module values.
   std::uint64_t h = kFnvOffset;
-  for (const auto& m : p.modules) mix_module_hash(h, fnv_string(ir::print_module(m)));
+  for (const auto& m : p.modules) mix_module_hash(h, ir::print_hash(m));
   return h;
 }
 
@@ -121,7 +121,7 @@ ProgramEvaluator::ProgramEvaluator(ir::Program base, ir::CostModel machine,
   // alone — harmless in a private RAM cache, wrong the moment a cache is
   // shared across evaluators or spilled to the disk tier.
   for (const auto& m : base_.modules)
-    module_salt_[m.name] = fnv_string(ir::print_module(m));
+    module_salt_[m.name] = ir::print_hash(m);
 
   const auto o0 = ir::interpret(base_, machine_, limits_);
   if (!o0.ok)

@@ -273,8 +273,7 @@ std::shared_ptr<const ModuleBuild> PrefixCache::build(
   }
 
   out->ok = true;
-  const std::string text = ir::print_module(out->module);
-  out->print_hash = fnv_bytes(kFnvOffset, text.data(), text.size());
+  out->print_hash = ir::print_hash(out->module);
   out->code_size = out->module.code_size();
   return finalize(key, std::move(out));
 }

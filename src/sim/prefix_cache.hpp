@@ -73,7 +73,7 @@ struct ModuleBuild {
   std::string error;             ///< exception text or first verifier error
   ir::Module module;             ///< post-sequence state (when ok)
   passes::StatsRegistry stats;   ///< accumulated -stats counters
-  std::uint64_t print_hash = 0;  ///< FNV-1a of ir::print_module(module)
+  std::uint64_t print_hash = 0;  ///< ir::print_hash(module)
   std::size_t code_size = 0;     ///< live instructions after the sequence
 };
 
