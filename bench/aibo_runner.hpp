@@ -127,10 +127,10 @@ namespace detail {
 /// One persistence-enabled Ch. 4 run (run name "<method>_s<seed>").
 inline Vec run_ch4_job(const std::string& method, const synth::Task& task,
                        int budget, std::uint64_t seed,
-                       const PersistOptions& popt,
+                       const persist::SessionConfig& session_config,
                        const std::optional<aibo::AiboConfig>& base,
                        bool* interrupted) {
-  persist::RunSession session(to_session_config(popt),
+  persist::RunSession session(session_config,
                               method + "_s" + std::to_string(seed));
   print_session_notes(session);
   if (session.complete()) {
@@ -207,13 +207,13 @@ inline Vec run_ch4_job(const std::string& method, const synth::Task& task,
 }  // namespace detail
 
 /// Persistence-enabled variant of run_ch4_method_seeds: every (method,
-/// seed) run journals its samples into popt.dir and resumes from
-/// checkpoint + tail replay; a watchdog stop marks the report
-/// kExitInterrupted.
+/// seed) run journals its samples into session.dir and resumes from
+/// checkpoint + tail replay; a watchdog stop (armed by the caller, once
+/// per process) marks the report kExitInterrupted.
 inline Ch4RunReport run_ch4_method_seeds_ex(
     const std::string& method, const synth::Task& task, int budget, int seeds,
-    const PersistOptions& popt, std::optional<aibo::AiboConfig> base = {}) {
-  arm_watchdog(popt);
+    const persist::SessionConfig& session,
+    std::optional<aibo::AiboConfig> base = {}) {
   Ch4RunReport rep;
   rep.curves.resize(static_cast<std::size_t>(seeds));
   std::vector<char> interrupted(rep.curves.size(), 0);
@@ -221,7 +221,7 @@ inline Ch4RunReport run_ch4_method_seeds_ex(
     bool intr = false;
     rep.curves[s] =
         detail::run_ch4_job(method, task, budget,
-                            static_cast<std::uint64_t>(s) + 1, popt, base,
+                            static_cast<std::uint64_t>(s) + 1, session, base,
                             &intr);
     if (intr) interrupted[s] = 1;
   });

@@ -1,48 +1,22 @@
 #pragma once
-// Shared plumbing for the crash-safe bench runners: CLI-level persistence
-// options, their translation to persist::SessionConfig, and the common
-// watchdog/log-line handling. Kept separate so tuner_runner.hpp and
-// aibo_runner.hpp share one definition of the option surface.
+// Shared plumbing for the crash-safe bench runners: the watchdog arming
+// and the session log lines that tuner_runner.hpp and aibo_runner.hpp
+// both use.
 
 #include <cstdio>
-#include <string>
 
 #include "persist/run_session.hpp"
 #include "persist/watchdog.hpp"
 
 namespace citroen::bench {
 
-/// Persistence knobs for a whole bench invocation (one session directory
-/// holding one journal + checkpoint pair per (method, seed) run).
-struct PersistOptions {
-  std::string dir;            ///< session directory (--journal)
-  bool resume = false;        ///< resume from existing state (--resume)
-  int fsync_every = 256;      ///< journal fsync cadence, in records
-  int checkpoint_every = 25;  ///< checkpoint cadence, in journal records
-  double deadline_seconds = 0.0;  ///< wall-clock budget (--deadline); <=0 off
-  std::string kill_run;       ///< test kill switch: run name it applies to
-  std::int64_t kill_at = -1;  ///< ...record index to _Exit(99) after
-};
-
-inline persist::SessionConfig to_session_config(const PersistOptions& p) {
-  persist::SessionConfig c;
-  c.dir = p.dir;
-  c.resume = p.resume;
-  c.fsync_every = p.fsync_every;
-  c.checkpoint_every = p.checkpoint_every;
-  c.kill_run = p.kill_run;
-  c.kill_at = p.kill_at;
-  c.deadline_seconds = p.deadline_seconds;
-  return c;
-}
-
-/// Install signal handlers and arm the deadline. Called once per bench
-/// invocation, before any runs start.
-inline void arm_watchdog(const PersistOptions& p) {
+/// Install signal handlers and arm the wall-clock deadline (<= 0: none).
+/// Called once per process, before any run starts: re-arming between
+/// sweeps would clear a pending stop and restart the deadline.
+inline void arm_watchdog(double deadline_seconds) {
   auto& wd = persist::Watchdog::instance();
   wd.install_signal_handlers();
-  wd.reset();
-  wd.set_deadline_seconds(p.deadline_seconds);
+  wd.set_deadline_seconds(deadline_seconds);
 }
 
 /// Surface recovery/checkpoint notes on stderr (stdout stays canonical

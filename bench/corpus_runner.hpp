@@ -19,10 +19,10 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_persist.hpp"
 #include "citroen/tuner.hpp"
 #include "corpus/corpus.hpp"
 #include "persist/checkpoint.hpp"
+#include "persist/run_session.hpp"
 #include "sim/evaluator.hpp"
 #include "support/env.hpp"
 
@@ -48,17 +48,17 @@ inline const std::shared_ptr<corpus::TransferCorpus>& corpus_snapshot() {
   return snap;
 }
 
-/// Resolve (and with `popt` freeze) the corpus advice for one citroen
+/// Resolve (and with `session` freeze) the corpus advice for one citroen
 /// run. `cfg` supplies the hot-module selection knobs; `run_name` keys
-/// the frozen advice file inside popt->dir (resume reads it back
+/// the frozen advice file inside session->dir (resume reads it back
 /// verbatim instead of re-probing a possibly-grown corpus).
 inline corpus::TunerAdvice corpus_advice_for_run(
     sim::Evaluator& base, const std::string& machine,
-    const core::CitroenConfig& cfg, const PersistOptions* popt,
+    const core::CitroenConfig& cfg, const persist::SessionConfig* session,
     const std::string& run_name) {
   const std::string advice_path =
-      popt != nullptr && !run_name.empty()
-          ? popt->dir + "/" + run_name + ".advice"
+      session != nullptr && !run_name.empty()
+          ? session->dir + "/" + run_name + ".advice"
           : std::string();
   corpus::TunerAdvice advice;
   if (!advice_path.empty()) {
@@ -74,8 +74,10 @@ inline corpus::TunerAdvice corpus_advice_for_run(
   }
   const auto& snap = corpus_snapshot();
   if (snap && snap->num_entries() > 0) {
-    advice = corpus::advise_for_modules(*snap, base, machine,
-                                        core::select_hot_modules(base, cfg));
+    advice = corpus::advise_for_modules(
+        *snap, base, machine,
+        core::select_hot_modules(base, cfg.hot_threshold,
+                                 cfg.max_hot_modules));
   }
   if (!advice_path.empty()) {
     persist::Writer w;

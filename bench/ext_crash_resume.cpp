@@ -24,6 +24,7 @@
 
 #include "bench/aibo_runner.hpp"
 #include "bench/tuner_runner.hpp"
+#include "sim/faults.hpp"
 #include "synth/functions.hpp"
 
 using namespace citroen;
@@ -80,11 +81,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::PersistOptions popt;
-  popt.dir = dir;
-  popt.resume = resume;
-  popt.deadline_seconds = deadline;
-  popt.checkpoint_every = 10;  // small cadence so kills land mid-tail
+  persist::SessionConfig session;
+  session.dir = dir;
+  session.resume = resume;
+  session.checkpoint_every = 10;  // small cadence so kills land mid-tail
 
   // Derive the kill target from --kill-seed: pick a victim run and an
   // evaluation index strictly inside its journal so the tail-replay path
@@ -96,11 +96,11 @@ int main(int argc, char** argv) {
     Rng rng(kill_seed * 2654435761ull + 17);
     const auto m = static_cast<std::size_t>(rng.uniform_int(0, 5));
     const int s = rng.uniform_int(1, tuner_seeds);
-    popt.kill_run = std::string(kMethods[m]) + "_s" + std::to_string(s);
-    popt.kill_at = rng.uniform_int(5, std::max(6, budget / 2));
+    session.kill_run = std::string(kMethods[m]) + "_s" + std::to_string(s);
+    session.kill_at = rng.uniform_int(5, std::max(6, budget / 2));
     std::fprintf(stderr, "kill switch: run=%s at record %lld\n",
-                 popt.kill_run.c_str(),
-                 static_cast<long long>(popt.kill_at));
+                 session.kill_run.c_str(),
+                 static_cast<long long>(session.kill_at));
   }
 
   const sim::FaultPlan plan = gate_fault_plan();
@@ -109,8 +109,11 @@ int main(int argc, char** argv) {
   std::printf("# ext_crash_resume budget=%d seeds=%d fault=%d\n", budget,
               seeds, fault ? 1 : 0);
 
+  // Armed once for the whole process: a signal or the deadline stops the
+  // tuner sweep and the AIBO leg alike.
+  bench::arm_watchdog(deadline);
   const auto rep = bench::run_all_tuners_ex("security_sha", "arm", budget,
-                                            tuner_seeds, &popt, faults);
+                                            tuner_seeds, &session, faults);
   for (const auto& m : rep.curves) {
     for (std::size_t s = 0; s < m.curves.size(); ++s) {
       const std::string tag = m.name + "_s" + std::to_string(s + 1);
@@ -129,7 +132,8 @@ int main(int argc, char** argv) {
   // AIBO leg: continuous-domain journaling (kRecordSample) + checkpointed
   // optimiser state across CMA-ES/GA members and the GP surrogate.
   const synth::Task task = synth::make_task("ackley6");
-  const auto ch4 = bench::run_ch4_method_seeds_ex("aibo", task, 40, 2, popt);
+  const auto ch4 =
+      bench::run_ch4_method_seeds_ex("aibo", task, 40, 2, session);
   for (std::size_t s = 0; s < ch4.curves.size(); ++s) {
     const std::string tag = "aibo_ackley_s" + std::to_string(s + 1);
     print_vec(tag.c_str(), ch4.curves[s]);

@@ -129,7 +129,7 @@ void citroen_section(const std::string& program, int budget) {
   auto pool = dist::make_worker_pool(eval, "arm");
   sim::Evaluator& stack = pool ? static_cast<sim::Evaluator&>(*pool)
                                : static_cast<sim::Evaluator&>(eval);
-  core::CitroenTuner tuner(stack, bench::default_citroen_config(budget, 1));
+  core::CitroenTuner tuner(stack, serve::default_citroen_config(budget, 1));
   const auto res = tuner.run();
   print_vec("citroen/1", res.speedup_curve);
   for (const auto& [feature, relevance] : res.stat_relevance)

@@ -109,7 +109,7 @@ RunOutcome run_citroen(const std::string& prog, const sim::FaultPlan& plan,
   sim::FaultInjector injector(seeded);
   sim::RobustEvaluator ev(base, rcfg,
                           seeded.enabled() ? &injector : nullptr);
-  auto cfg = bench::default_citroen_config(budget, seed);
+  auto cfg = serve::default_citroen_config(budget, seed);
   core::CitroenTuner tuner(ev, cfg);
   const auto r = tuner.run();
   auto o = finish(prog, ev, r.best_assignment);

@@ -40,7 +40,7 @@ namespace {
 /// Every run (source and targets, cold and warm) uses single-module
 /// tuning: transferred GP observations are only dimension-safe then.
 core::CitroenConfig gate_config(int budget, std::uint64_t seed) {
-  auto cfg = bench::default_citroen_config(budget, seed);
+  auto cfg = serve::default_citroen_config(budget, seed);
   cfg.max_hot_modules = 1;
   return cfg;
 }
@@ -193,7 +193,9 @@ int main(int argc, char** argv) {
     // Resolve advice once per target, exactly as the runners do.
     sim::ProgramEvaluator eval(bench_suite::make_program(target),
                                sim::machine_by_name("arm"));
-    const auto mods = core::select_hot_modules(eval, gate_config(budget, 1));
+    const auto cfg = gate_config(budget, 1);
+    const auto mods = core::select_hot_modules(eval, cfg.hot_threshold,
+                                               cfg.max_hot_modules);
     const auto advice = corpus::advise_for_modules(c, eval, "arm", mods);
     double distance = -1.0;
     if (!mods.empty()) {

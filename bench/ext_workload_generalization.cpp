@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
       {
         sim::ProgramEvaluator eval(bench_suite::make_program(prog, 42),
                                    sim::machine_by_name("arm"));
-        auto cfg = bench::default_citroen_config(
+        auto cfg = serve::default_citroen_config(
             budget, static_cast<std::uint64_t>(s) + 1);
         core::CitroenTuner tuner(eval, cfg);
         const auto r = tuner.run();
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
                                    sim::machine_by_name("arm"));
         eval.add_workload(bench_suite::make_program(prog, 43));
         eval.add_workload(bench_suite::make_program(prog, 44));
-        auto cfg = bench::default_citroen_config(
+        auto cfg = serve::default_citroen_config(
             budget, static_cast<std::uint64_t>(s) + 1);
         core::CitroenTuner tuner(eval, cfg);
         const auto r = tuner.run();

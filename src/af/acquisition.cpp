@@ -81,85 +81,4 @@ std::pair<double, Vec> Acquisition::value_grad(const Vec& x) const {
   return {0.0, Vec(d, 0.0)};
 }
 
-McAcquisition::McAcquisition(const gp::GaussianProcess* model,
-                             AfConfig config, double best_y,
-                             std::uint64_t seed)
-    : model_(model), config_(config), best_y_(best_y) {
-  // Pre-draw base normals for up to 16 joint points.
-  Rng rng(seed);
-  base_normals_.resize(static_cast<std::size_t>(config_.mc_samples));
-  for (auto& row : base_normals_) {
-    row.resize(16);
-    for (auto& v : row) v = rng.normal();
-  }
-}
-
-void McAcquisition::add_pending(const Vec& x) { pending_.push_back(x); }
-
-double McAcquisition::value(const Vec& x) const {
-  // Joint posterior over pending + x. For q points: mean vector m and
-  // covariance via the GP (diagonal-only cross terms would lose the
-  // anti-clustering effect, so we build the full q x q matrix).
-  std::vector<const Vec*> pts;
-  for (const auto& p : pending_) pts.push_back(&p);
-  pts.push_back(&x);
-  const std::size_t q = pts.size();
-
-  Vec mean(q);
-  Matrix cov(q, q);
-  for (std::size_t i = 0; i < q; ++i) {
-    const auto pi = model_->predict(*pts[i]);
-    mean[i] = pi.mean;
-    cov(i, i) = pi.var;
-  }
-  // Cross-covariances: k(xi,xj) - k_i^T K^{-1} k_j is expensive to expose;
-  // approximate with prior cross-correlation scaled by posterior vars
-  // (exact when the training set is empty, conservative otherwise).
-  for (std::size_t i = 0; i < q; ++i) {
-    for (std::size_t j = i + 1; j < q; ++j) {
-      // Correlation from the prior kernel shape.
-      double d2 = 0.0;
-      for (std::size_t k = 0; k < pts[i]->size(); ++k) {
-        const double t = (*pts[i])[k] - (*pts[j])[k];
-        d2 += t * t;
-      }
-      const double rho = std::exp(-2.0 * d2);
-      const double v = rho * std::sqrt(cov(i, i) * cov(j, j));
-      cov(i, j) = v;
-      cov(j, i) = v;
-    }
-  }
-  const Cholesky ch = cholesky(cov);
-
-  double acc = 0.0;
-  for (int s = 0; s < config_.mc_samples; ++s) {
-    const Vec& z = base_normals_[static_cast<std::size_t>(s)];
-    double best_sample = -1e300;
-    for (std::size_t i = 0; i < q; ++i) {
-      double y = mean[i];
-      for (std::size_t j = 0; j <= i; ++j) y += ch.L(i, j) * z[j];
-      double util = 0.0;
-      switch (config_.kind) {
-        case AfKind::UCB: {
-          // qUCB (BoTorch form), adapted to minimisation.
-          const double dev = y - mean[i];
-          util = -mean[i] +
-                 std::sqrt(config_.beta * 3.141592653589793 / 2.0) *
-                     std::abs(dev);
-          break;
-        }
-        case AfKind::EI:
-          util = std::max(best_y_ - y, 0.0);
-          break;
-        case AfKind::PI:
-          util = y < best_y_ ? 1.0 : 0.0;
-          break;
-      }
-      best_sample = std::max(best_sample, util);
-    }
-    acc += best_sample;
-  }
-  return acc / config_.mc_samples;
-}
-
 }  // namespace citroen::af

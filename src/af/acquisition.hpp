@@ -7,16 +7,12 @@
 //   PI(x)  = Phi(z)
 //
 // Analytic values and input gradients serve the multi-start gradient
-// maximiser; a Monte-Carlo estimator (reparameterised joint posterior
-// samples, Sec. 2.1.2) supports batch (q > 1) greedy-sequential
-// selection.
+// maximiser.
 
-#include <functional>
 #include <utility>
 #include <vector>
 
 #include "gp/gp.hpp"
-#include "support/rng.hpp"
 
 namespace citroen::af {
 
@@ -25,7 +21,6 @@ enum class AfKind { UCB, EI, PI };
 struct AfConfig {
   AfKind kind = AfKind::UCB;
   double beta = 1.96;   ///< UCB exploration weight (beta_t)
-  int mc_samples = 64;  ///< Monte-Carlo sample count for batch AFs
 };
 
 /// Analytic acquisition over a fitted GP.
@@ -48,31 +43,6 @@ class Acquisition {
   const gp::GaussianProcess* model_;
   AfConfig config_;
   double best_y_;
-};
-
-/// Monte-Carlo batch acquisition with greedy-sequential pending points
-/// (qEI / qUCB via the reparameterisation trick). The base normal draws
-/// are fixed per instance, so the estimator is deterministic and smooth
-/// across candidate evaluations.
-class McAcquisition {
- public:
-  McAcquisition(const gp::GaussianProcess* model, AfConfig config,
-                double best_y, std::uint64_t seed = 7);
-
-  /// qAF value of pending + {x} (joint, reparameterised).
-  double value(const Vec& x) const;
-
-  /// Commit a selected point to the pending set.
-  void add_pending(const Vec& x);
-
-  std::size_t num_pending() const { return pending_.size(); }
-
- private:
-  const gp::GaussianProcess* model_;
-  AfConfig config_;
-  double best_y_;
-  std::vector<Vec> pending_;
-  std::vector<Vec> base_normals_;  ///< mc_samples x (q_max) draws
 };
 
 /// Standard normal pdf/cdf helpers.

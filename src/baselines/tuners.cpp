@@ -6,6 +6,7 @@
 
 #include "baselines/random_forest.hpp"
 #include "citroen/features.hpp"
+#include "citroen/tuner.hpp"
 #include "heuristics/des.hpp"
 #include "heuristics/ga.hpp"
 #include "passes/pass.hpp"
@@ -51,8 +52,7 @@ struct Session {
     space = c.pass_space.empty()
                 ? passes::PassRegistry::instance().pass_names()
                 : c.pass_space;
-    modules =
-        select_hot_modules(e, c.hot_threshold, c.max_hot_modules);
+    modules = core::select_hot_modules(e, c.hot_threshold, c.max_hot_modules);
   }
 
   int num_passes() const { return static_cast<int>(space.size()); }
@@ -465,24 +465,6 @@ TuneTrace run_to_completion(ResumablePhaseTuner& t) {
 }
 
 }  // namespace
-
-std::vector<std::string> select_hot_modules(const sim::Evaluator& eval,
-                                            double threshold,
-                                            int max_modules) {
-  std::vector<std::string> out;
-  double covered = 0.0;
-  for (const auto& [name, frac] : eval.hot_modules()) {
-    if (covered >= threshold ||
-        static_cast<int>(out.size()) >= max_modules)
-      break;
-    if (name == "driver") continue;
-    out.push_back(name);
-    covered += frac;
-  }
-  if (out.empty()) out.push_back(eval.hot_modules()[0].first);
-  std::sort(out.begin(), out.end());
-  return out;
-}
 
 std::unique_ptr<ResumablePhaseTuner> make_phase_tuner(
     const std::string& name, sim::Evaluator& eval,

@@ -43,10 +43,6 @@ struct TuneTrace {
   int quarantined_skipped = 0;  ///< proposals dropped via the quarantine set
 };
 
-/// Hot modules to tune (shared with CITROEN's selection rule).
-std::vector<std::string> select_hot_modules(
-    const sim::Evaluator& eval, double threshold, int max_modules);
-
 /// Checkpoint/restore a (possibly partial) trace.
 void put(persist::Writer& w, const TuneTrace& t);
 void get(persist::Reader& r, TuneTrace& out);

@@ -136,7 +136,6 @@ struct CitroenTuner::Impl {
   sim::Evaluator& eval;
   const CitroenConfig& config;
   const std::vector<std::string>& modules;
-  const std::function<bool()>& skip_hyper_refits;
 
   // Deterministic plumbing, rebuilt from the config on construction and
   // never serialized.
@@ -178,11 +177,10 @@ struct CitroenTuner::Impl {
   Stopwatch model_clock;  ///< scratch timer, not state
 
   Impl(sim::Evaluator& e, const CitroenConfig& c,
-       const std::vector<std::string>& m, const std::function<bool()>& skip)
+       const std::vector<std::string>& m)
       : eval(e),
         config(c),
         modules(m),
-        skip_hyper_refits(skip),
         num_passes(static_cast<int>(c.pass_space.size())),
         seq_feat(num_passes, c.max_seq_len),
         need_program(c.features == CitroenConfig::Features::Autophase),
@@ -447,14 +445,8 @@ struct CitroenTuner::Impl {
     if (data_x.size() != fitted_points || !model) {
       const std::vector<std::size_t> prev_active = active;
       recompute_active();
-      bool hyper_round = iter % config.refit_period == 1 ||
-                         active.size() != prev_active.size();
-      // Deadline degradation: with the wall clock nearly spent, an
-      // optional Adam hyper-fit is the first work to shed. Skipping it
-      // only switches which fit path runs, so a checkpoint taken at the
-      // next step boundary stays exactly replayable.
-      if (hyper_round && skip_hyper_refits && skip_hyper_refits())
-        hyper_round = false;
+      const bool hyper_round = iter % config.refit_period == 1 ||
+                               active.size() != prev_active.size();
       bool fitted = false;
       // Incremental refresh (refactor-only rounds with an unchanged
       // active set): freeze the input/output transforms, transform only
@@ -835,13 +827,12 @@ struct CitroenTuner::Impl {
 // ---- public API -------------------------------------------------------------
 
 std::vector<std::string> select_hot_modules(const sim::Evaluator& evaluator,
-                                            const CitroenConfig& config) {
-  // Hot-module selection (Sec. 5.3.1): cover `hot_threshold` of runtime.
+                                            double threshold,
+                                            int max_modules) {
   std::vector<std::string> modules;
   double covered = 0.0;
   for (const auto& [name, frac] : evaluator.hot_modules()) {
-    if (covered >= config.hot_threshold ||
-        static_cast<int>(modules.size()) >= config.max_hot_modules)
+    if (covered >= threshold || static_cast<int>(modules.size()) >= max_modules)
       break;
     // The driver module is never tuned (it only dispatches).
     if (name == "driver") continue;
@@ -857,13 +848,14 @@ CitroenTuner::CitroenTuner(sim::Evaluator& evaluator, CitroenConfig config)
     : eval_(evaluator), config_(std::move(config)) {
   if (config_.pass_space.empty())
     config_.pass_space = passes::PassRegistry::instance().pass_names();
-  modules_ = select_hot_modules(eval_, config_);
+  modules_ = select_hot_modules(eval_, config_.hot_threshold,
+                                config_.max_hot_modules);
 }
 
 CitroenTuner::~CitroenTuner() = default;
 
 void CitroenTuner::start() {
-  impl_ = std::make_unique<Impl>(eval_, config_, modules_, skip_hyper_refits_);
+  impl_ = std::make_unique<Impl>(eval_, config_, modules_);
 }
 
 bool CitroenTuner::step() {

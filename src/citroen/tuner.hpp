@@ -18,7 +18,6 @@
 //   5. measure only the winning candidate (one runtime measurement),
 //      update the model, the heuristics, and the allocation bandit.
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -146,15 +145,6 @@ class CitroenTuner {
   void save_state(persist::Writer& w) const;
   void load_state(persist::Reader& r);
 
-  /// Deadline-aware degradation hook: while the callback returns true,
-  /// full hyper-parameter refits are skipped (cheap refactor-only fits
-  /// keep running) so a run close to its wall-clock deadline still
-  /// finishes in-flight work. Never changes results when the callback
-  /// returns false throughout.
-  void set_skip_hyper_refits(std::function<bool()> skip) {
-    skip_hyper_refits_ = std::move(skip);
-  }
-
   /// Modules selected for tuning (after hot-module profiling).
   const std::vector<std::string>& tuned_modules() const { return modules_; }
 
@@ -164,17 +154,18 @@ class CitroenTuner {
   sim::Evaluator& eval_;
   CitroenConfig config_;
   std::vector<std::string> modules_;
-  std::function<bool()> skip_hyper_refits_;
   std::unique_ptr<Impl> impl_;
 };
 
-/// Hot-module selection (Sec. 5.3.1): the modules a CitroenTuner built
-/// with `config` would tune on `evaluator` — cover `hot_threshold` of
-/// runtime, cap at `max_hot_modules`, never the dispatch-only driver,
-/// sorted by name. Exposed so the transfer corpus can probe exactly the
-/// modules the tuner will tune before the tuner is constructed.
+/// Hot-module selection (Sec. 5.3.1), shared by CITROEN and the
+/// baselines: the hottest modules covering `threshold` of runtime,
+/// capped at `max_modules`, never the dispatch-only driver, sorted by
+/// name. Exposed so the transfer corpus can probe exactly the modules a
+/// tuner will tune (its config's hot_threshold and max_hot_modules)
+/// before the tuner is constructed.
 std::vector<std::string> select_hot_modules(const sim::Evaluator& evaluator,
-                                            const CitroenConfig& config);
+                                            double threshold,
+                                            int max_modules);
 
 /// Serialization of a finished result (the `complete` checkpoint stores
 /// it so a resumed-but-finished run returns without recomputation).

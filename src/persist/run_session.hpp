@@ -48,7 +48,6 @@ struct SessionConfig {
   int checkpoint_every = 25; ///< checkpoint cadence (journal records)
   std::string kill_run;      ///< test kill-switch: run name it applies to
   std::int64_t kill_at = -1; ///< ...record index to _Exit(99) after
-  double deadline_seconds = 0.0;  ///< wall-clock budget; <=0 = none
 };
 
 /// Journal + checkpoint pair for one named run inside a session

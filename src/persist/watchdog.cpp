@@ -1,7 +1,6 @@
 #include "persist/watchdog.hpp"
 
 #include <ctime>
-#include <limits>
 
 namespace citroen::persist {
 
@@ -45,21 +44,6 @@ void Watchdog::set_deadline_seconds(double seconds) {
 bool Watchdog::stop_requested() const {
   if (stop_flag_) return true;
   return deadline_armed_ && monotonic_now() >= deadline_monotonic_;
-}
-
-bool Watchdog::deadline_imminent(double margin_seconds) const {
-  if (!deadline_armed_) return false;
-  return monotonic_now() + margin_seconds >= deadline_monotonic_;
-}
-
-void Watchdog::reset() {
-  stop_flag_ = 0;
-  deadline_armed_ = false;
-}
-
-double Watchdog::seconds_remaining() const {
-  if (!deadline_armed_) return std::numeric_limits<double>::infinity();
-  return deadline_monotonic_ - monotonic_now();
 }
 
 }  // namespace citroen::persist

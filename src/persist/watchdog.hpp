@@ -4,9 +4,7 @@
 // The watchdog is a process-wide singleton that a runner consults between
 // units of work (one evaluation, one tuner step). `stop_requested()`
 // becomes true when SIGINT/SIGTERM arrives or the configured wall-clock
-// deadline passes; `deadline_imminent(margin)` lets long optional work
-// (e.g. GP hyperparameter refits) be skipped when the remaining budget is
-// thin, so a run degrades gracefully instead of being killed mid-fit.
+// deadline passes, so a deadline overshoots by at most one unit of work.
 //
 // Signal handlers only flip a sig_atomic_t flag — all I/O (journal flush,
 // final checkpoint) happens later on the normal code path.
@@ -29,18 +27,8 @@ class Watchdog {
   /// True once a stop signal arrived or the deadline passed.
   bool stop_requested() const;
 
-  /// True when less than `margin_seconds` of wall clock remains before
-  /// the deadline (always false when no deadline is armed).
-  bool deadline_imminent(double margin_seconds) const;
-
   /// Programmatic stop (tests, embedding code).
   void request_stop() { stop_flag_ = 1; }
-
-  /// Clear signal/deadline state (tests run several sessions in-process).
-  void reset();
-
-  /// Seconds of wall clock left before the deadline; +inf when disarmed.
-  double seconds_remaining() const;
 
  private:
   Watchdog() = default;

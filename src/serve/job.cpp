@@ -13,8 +13,10 @@
 #include "persist/journaled_evaluator.hpp"
 #include "persist/run_session.hpp"
 #include "sim/evaluator.hpp"
+#include "sim/faults.hpp"
 #include "sim/machine.hpp"
 #include "sim/prefix_cache.hpp"
+#include "sim/robust_evaluator.hpp"
 
 namespace citroen::serve {
 
@@ -23,18 +25,6 @@ namespace {
 /// v2 appended the frozen transfer-corpus advice; v1 metas still load
 /// (with empty advice), so a daemon upgrade never strands durable work.
 constexpr std::uint32_t kJobRecordVersion = 2;
-
-/// Mirrors the bench runners' default CITROEN configuration so a daemon
-/// job and its serial replay drive the identical search.
-core::CitroenConfig citroen_config_for(const JobSpec& spec) {
-  core::CitroenConfig cfg;
-  cfg.budget = static_cast<int>(spec.budget);
-  cfg.initial_random = std::max(4, static_cast<int>(spec.budget) / 6);
-  cfg.candidates_per_iter = 16;
-  cfg.gp.fit_steps = 6;
-  cfg.seed = spec.seed;
-  return cfg;
-}
 
 baselines::PhaseTunerConfig baseline_config_for(const JobSpec& spec) {
   baselines::PhaseTunerConfig cfg;
@@ -45,31 +35,15 @@ baselines::PhaseTunerConfig baseline_config_for(const JobSpec& spec) {
 
 }  // namespace
 
-namespace detail {
-
-/// The evaluator/tuner stack behind one job. Member order is the
-/// destruction contract: tuners die before the journaled evaluator,
-/// which dies before the session, which dies before the worker pool and
-/// the base evaluator.
-struct JobStack {
-  std::unique_ptr<sim::ProgramEvaluator> base;
-  std::unique_ptr<dist::WorkerPool> pool;
-  std::unique_ptr<persist::RunSession> session;
-  std::unique_ptr<persist::JournaledEvaluator> jeval;
-  std::unique_ptr<core::CitroenTuner> citroen;
-  std::unique_ptr<baselines::ResumablePhaseTuner> baseline;
-
-  bool step_tuner() { return citroen ? citroen->step() : baseline->step(); }
-  Vec curve_so_far() {
-    return citroen ? citroen->finish().speedup_curve
-                   : baseline->finish().speedup_curve;
-  }
-  void save_tuner(persist::Writer& w) {
-    citroen ? citroen->save_state(w) : baseline->save_state(w);
-  }
-};
-
-}  // namespace detail
+core::CitroenConfig default_citroen_config(int budget, std::uint64_t seed) {
+  core::CitroenConfig cfg;
+  cfg.budget = budget;
+  cfg.initial_random = std::max(4, budget / 6);
+  cfg.candidates_per_iter = 16;
+  cfg.gp.fit_steps = 6;
+  cfg.seed = seed;
+  return cfg;
+}
 
 std::string job_file_stem(std::uint64_t id) {
   char buf[32];
@@ -123,26 +97,123 @@ bool load_job_record(const std::string& path, JobRecord* rec,
   }
 }
 
+TuningRun::TuningRun(const JobSpec& spec,
+                     const persist::SessionConfig& session,
+                     const std::string& run_name,
+                     const std::shared_ptr<sim::PrefixCache>& shared_cache,
+                     const std::vector<std::string>& dist_peers,
+                     const sim::FaultPlan* faults)
+    : spec_(spec) {
+  base_ = std::make_unique<sim::ProgramEvaluator>(
+      bench_suite::make_program(spec_.program),
+      sim::machine_by_name(spec_.machine));
+  if (shared_cache) base_->set_shared_prefix_cache(shared_cache);
+  // CITROEN_SANDBOX=1 vets every candidate in fork workers and peers take
+  // measurements remotely; results stay byte-identical either way. The
+  // robust layer quarantines Worker* verdicts like any deterministic
+  // failure.
+  pool_ = dist::make_worker_pool(*base_, spec_.machine, dist_peers);
+  sim::Evaluator* eval = pool_ ? static_cast<sim::Evaluator*>(pool_.get())
+                               : static_cast<sim::Evaluator*>(base_.get());
+  if (faults) {
+    injector_ = std::make_unique<sim::FaultInjector>(*faults);
+    robust_ = std::make_unique<sim::RobustEvaluator>(
+        *eval, sim::RobustConfig{}, injector_.get());
+    eval = robust_.get();
+  }
+  session_ = std::make_unique<persist::RunSession>(session, run_name);
+  if (session_->complete()) {
+    persist::Reader r(session_->state());
+    persist::get(r, curve_);
+    return;
+  }
+  jeval_ = std::make_unique<persist::JournaledEvaluator>(*eval, *session_);
+}
+
+TuningRun::~TuningRun() = default;
+
+bool TuningRun::complete() const { return session_->complete(); }
+
+std::uint64_t TuningRun::evals_done() const { return session_->next_index(); }
+
+void TuningRun::start(const corpus::TunerAdvice& advice) {
+  if (spec_.method == "citroen") {
+    auto cfg = default_citroen_config(static_cast<int>(spec_.budget),
+                                      spec_.seed);
+    corpus::apply_advice(&cfg, advice);
+    citroen_ = std::make_unique<core::CitroenTuner>(*jeval_, cfg);
+  } else {
+    baseline_ = baselines::make_phase_tuner(spec_.method, *jeval_,
+                                            baseline_config_for(spec_));
+  }
+  if (session_->has_state()) {
+    persist::Reader r(session_->state());
+    citroen_ ? citroen_->load_state(r) : baseline_->load_state(r);
+    base_->load_runtime_state(r);
+    if (robust_) robust_->load_state(r);
+    if (injector_) injector_->load_attempts(r);
+  } else if (citroen_) {
+    citroen_->start();
+  }
+}
+
+bool TuningRun::step() {
+  const bool more = citroen_ ? citroen_->step() : baseline_->step();
+  if (more && session_->checkpoint_due()) checkpoint();
+  return more;
+}
+
+void TuningRun::checkpoint() {
+  persist::Writer w;
+  citroen_ ? citroen_->save_state(w) : baseline_->save_state(w);
+  base_->save_runtime_state(w);
+  if (robust_) robust_->save_state(w);
+  if (injector_) injector_->save_attempts(w);
+  session_->save_checkpoint(w.take(), /*complete=*/false);
+}
+
+Vec TuningRun::curve_so_far() {
+  return citroen_ ? citroen_->finish().speedup_curve
+                  : baseline_->finish().speedup_curve;
+}
+
+const Vec& TuningRun::finish() {
+  curve_ = curve_so_far();
+  persist::Writer w;
+  persist::put(w, curve_);
+  session_->save_checkpoint(w.take(), /*complete=*/true);
+  return curve_;
+}
+
 TuningJob::TuningJob(JobRecord record, const std::string& state_dir,
                      bool resume,
                      const std::shared_ptr<sim::PrefixCache>& shared_cache,
                      int fsync_every, int checkpoint_every,
                      const std::vector<std::string>& dist_peers,
                      const std::shared_ptr<corpus::TransferCorpus>& corpus)
-    : record_(std::move(record)),
-      stack_(std::make_unique<detail::JobStack>()),
-      corpus_(corpus) {
+    : record_(std::move(record)), corpus_(corpus) {
   if (record_.cancelled) {
     state_ = JobState::Cancelled;
-    stack_.reset();
     return;
   }
-
-  auto& s = *stack_;
-  s.base = std::make_unique<sim::ProgramEvaluator>(
-      bench_suite::make_program(record_.spec.program),
-      sim::machine_by_name(record_.spec.machine));
-  if (shared_cache) s.base->set_shared_prefix_cache(shared_cache);
+  persist::SessionConfig scfg;
+  scfg.dir = state_dir;
+  scfg.resume = resume;
+  scfg.fsync_every = fsync_every;
+  scfg.checkpoint_every = checkpoint_every;
+  const std::string stem = job_file_stem(record_.id);
+  run_ = std::make_unique<TuningRun>(record_.spec, scfg, stem, shared_cache,
+                                     dist_peers);
+  if (!run_->session().recovery_note().empty())
+    std::fprintf(stderr, "[citroend %s] %s\n", stem.c_str(),
+                 run_->session().recovery_note().c_str());
+  if (run_->complete()) {
+    curve_ = run_->curve();
+    done_ = run_->evals_done();
+    state_ = JobState::Done;
+    run_.reset();
+    return;
+  }
   // Fresh citroen jobs consult the corpus ONCE, here, and freeze the
   // result in the admission record — a resumed job reuses record_.advice
   // verbatim, so resume stays byte-identical no matter how the corpus
@@ -151,125 +222,65 @@ TuningJob::TuningJob(JobRecord record, const std::string& state_dir,
   // depends on.
   if (!resume && corpus_ && record_.spec.method == "citroen" &&
       corpus_->num_entries() > 0) {
+    const auto cfg = default_citroen_config(
+        static_cast<int>(record_.spec.budget), record_.spec.seed);
     record_.advice = corpus::advise_for_modules(
-        *corpus_, *s.base, record_.spec.machine,
-        core::select_hot_modules(*s.base, citroen_config_for(record_.spec)));
+        *corpus_, run_->base(), record_.spec.machine,
+        core::select_hot_modules(run_->base(), cfg.hot_threshold,
+                                 cfg.max_hot_modules));
   }
-  // Same opt-ins as the bench runners: CITROEN_SANDBOX=1 vets every
-  // candidate in fork workers, peers take measurements remotely; results
-  // stay byte-identical either way.
-  s.pool = dist::make_worker_pool(*s.base, record_.spec.machine, dist_peers);
-  sim::Evaluator& inner = s.pool ? static_cast<sim::Evaluator&>(*s.pool)
-                                 : static_cast<sim::Evaluator&>(*s.base);
-
-  persist::SessionConfig scfg;
-  scfg.dir = state_dir;
-  scfg.resume = resume;
-  scfg.fsync_every = fsync_every;
-  scfg.checkpoint_every = checkpoint_every;
-  s.session =
-      std::make_unique<persist::RunSession>(scfg, job_file_stem(record_.id));
-  if (!s.session->recovery_note().empty())
-    std::fprintf(stderr, "[citroend %s] %s\n", job_file_stem(record_.id).c_str(),
-                 s.session->recovery_note().c_str());
-
-  if (s.session->complete()) {
-    persist::Reader r(s.session->state());
-    persist::get(r, curve_);
-    done_ = s.session->next_index();
-    state_ = JobState::Done;
-    stack_.reset();
-    return;
-  }
-
-  s.jeval = std::make_unique<persist::JournaledEvaluator>(inner, *s.session);
-  if (record_.spec.method == "citroen") {
-    auto cfg = citroen_config_for(record_.spec);
-    corpus::apply_advice(&cfg, record_.advice);
-    s.citroen = std::make_unique<core::CitroenTuner>(*s.jeval, cfg);
-  } else {
-    s.baseline = baselines::make_phase_tuner(record_.spec.method, *s.jeval,
-                                             baseline_config_for(record_.spec));
-  }
-
-  if (s.session->has_state()) {
-    persist::Reader r(s.session->state());
-    s.citroen ? s.citroen->load_state(r) : s.baseline->load_state(r);
-    s.base->load_runtime_state(r);
-  } else if (s.citroen) {
-    s.citroen->start();
-  }
+  run_->start(record_.advice);
 }
 
 TuningJob::~TuningJob() = default;
 
 std::uint64_t TuningJob::evals_done() const {
-  return stack_ && stack_->session ? stack_->session->next_index() : done_;
+  return run_ ? run_->evals_done() : done_;
 }
 
 const dist::WorkerPool* TuningJob::worker_pool() const {
-  return stack_ ? stack_->pool.get() : nullptr;
-}
-
-void TuningJob::save_checkpoint(bool complete) {
-  auto& s = *stack_;
-  persist::Writer w;
-  if (complete) {
-    persist::put(w, curve_);
-  } else {
-    s.save_tuner(w);
-    s.base->save_runtime_state(w);
-  }
-  s.session->save_checkpoint(w.take(), complete);
+  return run_ ? run_->worker_pool() : nullptr;
 }
 
 std::uint64_t TuningJob::step() {
-  if (terminal() || !stack_) return 0;
-  auto& s = *stack_;
+  if (terminal() || !run_) return 0;
   OBS_SPAN("serve_job_step", "serve");
-  const std::uint64_t before = s.session->next_index();
-  const bool more = s.step_tuner();
-  const std::uint64_t consumed = s.session->next_index() - before;
-  if (!more) {
-    if (s.citroen && corpus_ && corpus_->writable()) {
-      // Learn from the finished run BEFORE the complete checkpoint: a
-      // crash between the two re-runs this block on resume, and the
-      // content-keyed dedup makes the second append a no-op.
-      corpus::append_tune_result(*corpus_, *s.base, record_.spec.program,
-                                 record_.spec.machine, record_.spec.budget,
-                                 s.citroen->finish(),
-                                 s.citroen->tuned_modules());
-    }
-    curve_ = s.curve_so_far();
-    save_checkpoint(/*complete=*/true);
-    done_ = s.session->next_index();
-    state_ = JobState::Done;
-    stack_.reset();
-    return consumed;
+  const std::uint64_t before = run_->evals_done();
+  if (run_->step()) return run_->evals_done() - before;
+  if (const core::CitroenTuner* tuner = run_->citroen();
+      tuner && corpus_ && corpus_->writable()) {
+    // Learn from the finished run BEFORE the complete checkpoint: a
+    // crash between the two re-runs this block on resume, and the
+    // content-keyed dedup makes the second append a no-op.
+    corpus::append_tune_result(*corpus_, run_->base(), record_.spec.program,
+                               record_.spec.machine, record_.spec.budget,
+                               tuner->finish(), tuner->tuned_modules());
   }
-  if (s.session->checkpoint_due()) save_checkpoint(/*complete=*/false);
-  return consumed;
+  curve_ = run_->finish();
+  done_ = run_->evals_done();
+  state_ = JobState::Done;
+  run_.reset();
+  return done_ - before;
 }
 
 void TuningJob::checkpoint_for_drain() {
-  if (terminal() || !stack_) return;
-  save_checkpoint(/*complete=*/false);
-  stack_->session->flush();
+  if (terminal() || !run_) return;
+  run_->checkpoint();  // save_checkpoint flushes the journal first
 }
 
 void TuningJob::cancel(const std::string& state_dir) {
   if (terminal()) return;
-  if (stack_) {
-    curve_ = stack_->curve_so_far();
-    done_ = stack_->session->next_index();
+  if (run_) {
+    curve_ = run_->curve_so_far();
+    done_ = run_->evals_done();
     // Durable stop before the in-memory one: a crash right after cancel
     // must not resurrect the job.
-    checkpoint_for_drain();
+    run_->checkpoint();
   }
   record_.cancelled = true;
   save_job_record(state_dir, record_);
   state_ = JobState::Cancelled;
-  stack_.reset();
+  run_.reset();
 }
 
 Vec serial_replay(const JobSpec& spec) {
@@ -279,7 +290,8 @@ Vec serial_replay(const JobSpec& spec) {
   sim::Evaluator& eval = pool ? static_cast<sim::Evaluator&>(*pool)
                               : static_cast<sim::Evaluator&>(base);
   if (spec.method == "citroen") {
-    core::CitroenTuner tuner(eval, citroen_config_for(spec));
+    core::CitroenTuner tuner(
+        eval, default_citroen_config(static_cast<int>(spec.budget), spec.seed));
     return tuner.run().speedup_curve;
   }
   auto tuner =

@@ -1,37 +1,53 @@
 #pragma once
-// One served tuning job: the full evaluator/tuner stack from the bench
-// runners, repackaged so the daemon's scheduler can advance it one tuner
-// step at a time and a daemon restart can resume it byte-identically.
+// One crash-safe tuning run (TuningRun), and the served job built on it.
+// The daemon's TuningJob and the bench runners (bench/tuner_runner.hpp)
+// drive the same TuningRun, so the crash-resume gate exercises the code
+// a daemon job runs; each caller keeps its own transfer-corpus policy.
 //
-// Durability model (everything routed through src/persist/):
-//   job_<id>.meta     — admission record (tenant, spec, cancel flag),
-//                       written atomically BEFORE the Accept frame is
-//                       sent, so an accepted job always survives a crash.
-//   job_<id>.journal  — write-ahead journal of its evaluations.
-//   job_<id>.ckpt     — atomic checkpoint of tuner + evaluator state.
+// Durability (everything routed through src/persist/): a run named R
+// keeps R.journal (write-ahead journal of its evaluations) and R.ckpt
+// (atomic checkpoint of tuner + evaluator state). A served job's run is
+// named job_<id>, beside job_<id>.meta: its admission record, written
+// atomically BEFORE the Accept frame is sent, so an accepted job always
+// survives a crash.
 //
 // Resume re-runs the RunSession protocol: checkpoint restore + journal-
-// tail re-execution under byte-verification. Because every job owns a
-// private evaluator stack and the shared prefix cache is pure
-// memoization, the recovered result is byte-identical to a run that was
-// never interrupted — the property the ext_serving gate SIGKILLs the
-// daemon to enforce.
+// tail re-execution under byte-verification. Every run owns a private
+// evaluator stack and the shared prefix cache is pure memoization, so
+// the recovered result is byte-identical to a run never interrupted —
+// ext_serving SIGKILLs the daemon, and ext_crash_resume kills, signals
+// and deadlines the bench runners, to enforce it.
 
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "citroen/tuner.hpp"
 #include "corpus/corpus.hpp"
 #include "serve/wire.hpp"
 #include "support/matrix.hpp"
 
 namespace citroen::sim {
+class FaultInjector;
+struct FaultPlan;
 class PrefixCache;
-}
+class ProgramEvaluator;
+class RobustEvaluator;
+}  // namespace citroen::sim
 
 namespace citroen::dist {
 class WorkerPool;
+}
+
+namespace citroen::persist {
+class JournaledEvaluator;
+class RunSession;
+struct SessionConfig;
+}  // namespace citroen::persist
+
+namespace citroen::baselines {
+class ResumablePhaseTuner;
 }
 
 namespace citroen::serve {
@@ -56,22 +72,87 @@ void save_job_record(const std::string& dir, const JobRecord& rec);
 bool load_job_record(const std::string& path, JobRecord* rec,
                      std::string* note);
 
-namespace detail {
-struct JobStack;
-}
+/// The CITROEN configuration every run starts from — daemon jobs, their
+/// serial replay and the bench runners; corpus advice, if any, applies
+/// on top.
+core::CitroenConfig default_citroen_config(int budget, std::uint64_t seed);
+
+/// One crash-safe tuning run: base evaluator, worker pool, optional fault
+/// layer, RunSession + journal, and the tuner. Member order is the
+/// destruction contract: each layer dies before the one it wraps.
+///
+/// The checkpoint payload is the tuner state, then the base evaluator's
+/// runtime state, then — only with a fault plan — the robust layer's
+/// quarantine state and the injector's attempt counters. checkpoint()
+/// writes it and start() reads it; nothing else does.
+class TuningRun {
+ public:
+  /// Builds the stack and opens (or, with session.resume, recovers) the
+  /// run `run_name` inside session.dir. `shared_cache` is a prefix cache
+  /// shared across runs (pure memoization); `dist_peers` names socket
+  /// peers for the worker pool (empty consults CITROEN_PEERS). `faults`
+  /// installs a FaultInjector under a RobustEvaluator. Throws on an
+  /// unknown program or machine.
+  TuningRun(const JobSpec& spec, const persist::SessionConfig& session,
+            const std::string& run_name,
+            const std::shared_ptr<sim::PrefixCache>& shared_cache,
+            const std::vector<std::string>& dist_peers = {},
+            const sim::FaultPlan* faults = nullptr);
+  ~TuningRun();
+
+  TuningRun(const TuningRun&) = delete;
+  TuningRun& operator=(const TuningRun&) = delete;
+
+  /// The evaluator below the worker pool and any fault layer: corpus
+  /// probes and appends use it, so advice never depends on faults.
+  sim::ProgramEvaluator& base() { return *base_; }
+  const dist::WorkerPool* worker_pool() const { return pool_.get(); }
+  const persist::RunSession& session() const { return *session_; }
+
+  /// An earlier process finished this run: curve() holds its result and
+  /// nothing needs running.
+  bool complete() const;
+
+  /// Builds the tuner — CITROEN from default_citroen_config plus
+  /// `advice`, or the spec's baseline — then restores it from the
+  /// checkpoint or starts it fresh. Throws on an unknown method.
+  void start(const corpus::TunerAdvice& advice = {});
+  /// One tuner step, checkpointing when due. False once the budget is
+  /// spent; call finish() then.
+  bool step();
+  /// Partial checkpoint (drain, cancel, watchdog stop).
+  void checkpoint();
+  /// Complete checkpoint; returns the final curve.
+  const Vec& finish();
+
+  /// The CITROEN tuner (for corpus appends); null for a baseline run.
+  const core::CitroenTuner* citroen() const { return citroen_.get(); }
+  Vec curve_so_far();
+  /// Valid once complete() or after finish().
+  const Vec& curve() const { return curve_; }
+  std::uint64_t evals_done() const;
+
+ private:
+  JobSpec spec_;
+  Vec curve_;
+  std::unique_ptr<sim::ProgramEvaluator> base_;
+  std::unique_ptr<dist::WorkerPool> pool_;
+  std::unique_ptr<sim::FaultInjector> injector_;
+  std::unique_ptr<sim::RobustEvaluator> robust_;
+  std::unique_ptr<persist::RunSession> session_;
+  std::unique_ptr<persist::JournaledEvaluator> jeval_;
+  std::unique_ptr<core::CitroenTuner> citroen_;
+  std::unique_ptr<baselines::ResumablePhaseTuner> baseline_;
+};
 
 class TuningJob {
  public:
-  /// Builds the evaluator/tuner stack and opens (or resumes) the
-  /// RunSession. Throws std::exception on an invalid spec (unknown
-  /// program/machine/method) — the server converts that to a BadRequest
-  /// reject at submit time and a Failed result at resume time.
-  /// `shared_cache` is the daemon-wide prefix cache (pure memoization:
-  /// sharing it across jobs changes wall clock only, never results).
-  /// `dist_peers` names remote evaluation peers (dist/pool.hpp) the
-  /// job's worker pool farms pure measurements to; empty consults
-  /// CITROEN_PEERS. CITROEN_SANDBOX=1 adds fork workers to the same pool.
-  /// Results are byte-identical with or without either transport.
+  /// Opens (or resumes) the job's TuningRun. Throws std::exception on an
+  /// invalid spec (unknown program/machine/method) — the server converts
+  /// that to a BadRequest reject at submit time and a Failed result at
+  /// resume time. `shared_cache` and `dist_peers` are as for TuningRun;
+  /// CITROEN_SANDBOX=1 adds fork workers to the job's worker pool, and
+  /// results are byte-identical with or without either transport.
   /// `corpus` is the daemon-wide transfer corpus: a fresh citroen job
   /// looks up its hot modules' signatures at construction (the resolved
   /// advice lands in record().advice — persist it with save_job_record),
@@ -98,8 +179,8 @@ class TuningJob {
   /// exhausted. No-op (0) once terminal.
   std::uint64_t step();
 
-  /// Checkpoint + flush without finishing (graceful drain). No-op when
-  /// terminal (the final checkpoint already happened).
+  /// Checkpoint without finishing (graceful drain). No-op when terminal
+  /// (the final checkpoint already happened).
   void checkpoint_for_drain();
 
   /// Cancel: persist the flag (so a restart does not resurrect the job)
@@ -118,13 +199,11 @@ class TuningJob {
   const Vec& curve() const { return curve_; }
 
  private:
-  void save_checkpoint(bool complete);
-
   JobRecord record_;
   JobState state_ = JobState::Running;
   Vec curve_;
-  std::uint64_t done_ = 0;  ///< evals_done snapshot once the stack is gone
-  std::unique_ptr<detail::JobStack> stack_;
+  std::uint64_t done_ = 0;  ///< evals_done snapshot once the run is gone
+  std::unique_ptr<TuningRun> run_;
   std::shared_ptr<corpus::TransferCorpus> corpus_;
 };
 

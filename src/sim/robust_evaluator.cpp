@@ -106,20 +106,8 @@ void RobustEvaluator::prefetch(std::span<const SequenceAssignment> batch,
   base_.prefetch(live, with_measure);
 }
 
-double RobustEvaluator::aggregate(std::vector<double>& samples) const {
-  if (samples.size() == 1) return samples[0];
-  if (config_.trim_fraction <= 0.0) return median(samples);
-  std::sort(samples.begin(), samples.end());
-  const std::size_t n = samples.size();
-  const std::size_t k = static_cast<std::size_t>(
-      std::floor(config_.trim_fraction * static_cast<double>(n)));
-  double sum = 0.0;
-  std::size_t count = 0;
-  for (std::size_t i = k; i + k < n; ++i) {
-    sum += samples[i];
-    ++count;
-  }
-  return count > 0 ? sum / static_cast<double>(count) : median(samples);
+double RobustEvaluator::aggregate(const std::vector<double>& samples) const {
+  return samples.size() == 1 ? samples[0] : median(samples);
 }
 
 double RobustEvaluator::dispersion(std::vector<double> samples) const {

@@ -12,8 +12,8 @@
 //     sequence and candidate generators can skip proposing them; the set
 //     is LRU-bounded (`RobustConfig::quarantine_cap`) so soak runs cannot
 //     grow it without limit,
-//   - replicated measurement under injected noise with median /
-//     trimmed-mean aggregation, plus adaptive re-measurement when a
+//   - replicated measurement under injected noise with median
+//     aggregation, plus adaptive re-measurement when a
 //     candidate lands near the incumbent (where a wrong ranking is most
 //     costly),
 //   - a noisy-rejection guard: measurements whose replicate spread stays
@@ -39,9 +39,6 @@ struct RobustConfig {
   int max_retries = 2;           ///< extra attempts after a transient failure
   int replicates = 3;            ///< noisy measurements aggregated per eval
   int max_extra_replicates = 4;  ///< adaptive re-measurement cap
-  /// 0 = median aggregation; in (0, 0.5) = trimmed mean discarding this
-  /// fraction from each tail.
-  double trim_fraction = 0.0;
   /// Re-measure adaptively when a candidate's aggregated speedup lands
   /// within this relative margin of the best speedup seen so far.
   double near_incumbent_margin = 0.03;
@@ -165,7 +162,8 @@ class RobustEvaluator : public Evaluator {
   int num_cache_hits() const override { return base_.num_cache_hits(); }
 
  private:
-  double aggregate(std::vector<double>& samples) const;
+  /// Median of the replicates.
+  double aggregate(const std::vector<double>& samples) const;
   double dispersion(std::vector<double> samples) const;
 
   Evaluator& base_;

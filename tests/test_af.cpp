@@ -44,7 +44,7 @@ TEST(Acquisition, UcbFormula) {
 
 TEST(Acquisition, EiNonNegativeEverywhere) {
   const auto model = make_model();
-  const Acquisition af(&model, {AfKind::EI, 0.0, 64}, 0.05);
+  const Acquisition af(&model, {AfKind::EI, 0.0}, 0.05);
   for (int i = 0; i <= 50; ++i) {
     EXPECT_GE(af.value({i / 50.0}), 0.0);
   }
@@ -52,7 +52,7 @@ TEST(Acquisition, EiNonNegativeEverywhere) {
 
 TEST(Acquisition, PiBoundedByOne) {
   const auto model = make_model();
-  const Acquisition af(&model, {AfKind::PI, 0.0, 64}, 0.05);
+  const Acquisition af(&model, {AfKind::PI, 0.0}, 0.05);
   for (int i = 0; i <= 50; ++i) {
     const double v = af.value({i / 50.0});
     EXPECT_GE(v, 0.0);
@@ -62,7 +62,7 @@ TEST(Acquisition, PiBoundedByOne) {
 
 TEST(Acquisition, UcbPrefersTheKnownMinimumRegion) {
   const auto model = make_model();
-  const Acquisition af(&model, {AfKind::UCB, 1.0, 64}, 0.0);
+  const Acquisition af(&model, {AfKind::UCB, 1.0}, 0.0);
   // The AF near the minimum (0.3) must exceed the AF at the worst end.
   EXPECT_GT(af.value({0.3}), af.value({1.0}));
 }
@@ -96,7 +96,7 @@ INSTANTIATE_TEST_SUITE_P(Kinds, AfGradients,
 
 TEST(Maximizer, AscendImprovesAfValue) {
   const auto model = make_model();
-  const Acquisition af(&model, {AfKind::UCB, 1.96, 64}, 0.0);
+  const Acquisition af(&model, {AfKind::UCB, 1.96}, 0.0);
   const heuristics::Box box{{0.0}, {1.0}};
   const Vec start = {0.95};
   const double v0 = af.value(start);
@@ -108,7 +108,7 @@ TEST(Maximizer, AscendImprovesAfValue) {
 
 TEST(Maximizer, EsAndRandomFindReasonablePoints) {
   const auto model = make_model();
-  const Acquisition af(&model, {AfKind::UCB, 1.0, 64}, 0.0);
+  const Acquisition af(&model, {AfKind::UCB, 1.0}, 0.0);
   const heuristics::Box box{{0.0}, {1.0}};
   Rng rng(3);
   const auto es = es_maximize(af, box, 120, rng);
@@ -116,25 +116,6 @@ TEST(Maximizer, EsAndRandomFindReasonablePoints) {
   // Both must find AF values at least as good as a fixed corner probe.
   EXPECT_GE(es.second, af.value({1.0}));
   EXPECT_GE(rs.second, af.value({1.0}));
-}
-
-TEST(McAcquisition, PenalisesClusteredBatches) {
-  const auto model = make_model();
-  McAcquisition mc(&model, {AfKind::EI, 0.0, 256}, 0.04);
-  // The marginal qEI of adding a point right next to a pending one must
-  // not exceed adding a far-away point (submodularity-ish behaviour).
-  mc.add_pending({0.5});
-  const double near = mc.value({0.5001});
-  const double far = mc.value({0.05});
-  EXPECT_GE(far, near - 1e-9);
-}
-
-TEST(McAcquisition, MoreSamplesStaysFinite) {
-  const auto model = make_model();
-  McAcquisition mc(&model, {AfKind::UCB, 1.96, 64}, 0.0);
-  for (double x = 0.0; x <= 1.0; x += 0.25) {
-    EXPECT_TRUE(std::isfinite(mc.value({x})));
-  }
 }
 
 TEST(NormalHelpers, CdfPdfSanity) {

@@ -14,10 +14,7 @@
 #include <fstream>
 #include <functional>
 #include <string>
-#include <system_error>
 #include <vector>
-
-#include <unistd.h>
 
 #include "bench_suite/suite.hpp"
 #include "ir/builder.hpp"
@@ -30,43 +27,16 @@
 #include "sim/prefix_cache.hpp"
 #include "support/rng.hpp"
 
+#include "scratch_dir.hpp"
+
 using namespace citroen;
 namespace fs = std::filesystem;
 
 namespace {
 
-/// Directories scratch_dir made for the running test.
-std::vector<fs::path>& scratch_dirs() {
-  static std::vector<fs::path> dirs;
-  return dirs;
-}
-
-/// Removes the running test's scratch directories when it ends, so a
-/// suite run leaves none behind.
-class ScratchDirCleaner : public ::testing::EmptyTestEventListener {
-  void OnTestEnd(const ::testing::TestInfo&) override {
-    for (const auto& dir : scratch_dirs()) {
-      std::error_code ec;
-      fs::remove_all(dir, ec);
-    }
-    scratch_dirs().clear();
-  }
-};
-
-const bool kScratchDirCleanerInstalled = [] {
-  ::testing::UnitTest::GetInstance()->listeners().Append(new ScratchDirCleaner);
-  return true;
-}();
-
 /// Fresh scratch directory per test, removed when the test ends.
 std::string scratch_dir(const char* tag) {
-  const auto dir = fs::temp_directory_path() /
-                   ("citroen_disk_test_" + std::string(tag) + "_" +
-                    std::to_string(::getpid()));
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  scratch_dirs().push_back(dir);
-  return dir.string();
+  return test_support::scratch_dir(std::string("citroen_disk_test_") + tag);
 }
 
 /// A real module to round-trip: security_sha's, after a few passes so it

@@ -110,7 +110,7 @@ TEST(Baselines, AllTunersProduceFullCurves) {
 
 TEST(Baselines, HotModuleSelectionSkipsDriver) {
   auto eval = make_eval("consumer_jpeg");
-  const auto mods = baselines::select_hot_modules(eval, 0.9, 3);
+  const auto mods = core::select_hot_modules(eval, 0.9, 3);
   EXPECT_FALSE(mods.empty());
   for (const auto& m : mods) EXPECT_NE(m, "driver");
 }

@@ -32,16 +32,19 @@
 #include "serve/scheduler.hpp"
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
+#include "sim/faults.hpp"
+
+#include "scratch_dir.hpp"
 
 using namespace citroen;
 
 namespace {
 
+/// A fresh per-process directory, removed when the test ends: the
+/// daemon sockets live inside, so two suites running at once must not
+/// share one.
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "citroen_serve_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
+  return test_support::scratch_dir("citroen_serve_" + name);
 }
 
 bool curves_identical(const Vec& a, const Vec& b) {
@@ -310,6 +313,54 @@ TEST(ServeJob, InterruptedJobResumesByteIdentically) {
     while (!job.terminal()) job.step();
     EXPECT_TRUE(curves_identical(job.curve(), serve::serial_replay(spec)))
         << method << " resume diverged from serial replay";
+  }
+}
+
+TEST(ServeTuningRun, FaultPlanRunResumesByteIdentically) {
+  // Under a fault plan the checkpoint also carries the robust layer's
+  // state and the injector's attempt counters: a run destroyed after a
+  // checkpoint plus a journaled tail must finish exactly as an
+  // uninterrupted one.
+  sim::FaultPlan plan;
+  plan.seed = 1234;
+  plan.transient_crash_rate = 0.1;
+  plan.deterministic_crash_rate = 0.1;
+  plan.hang_rate = 0.05;
+  plan.miscompile_rate = 0.05;
+  plan.noise_sigma = 0.1;
+  for (const std::string method : {"ga", "citroen"}) {
+    const auto spec = small_spec(method, 24, 9);
+    persist::SessionConfig straight_cfg;
+    straight_cfg.dir = fresh_dir(method + "_run_fault_straight");
+    serve::TuningRun straight(spec, straight_cfg, "run", nullptr, {}, &plan);
+    straight.start();
+    while (straight.step()) {
+    }
+    const Vec want = straight.finish();
+
+    persist::SessionConfig cfg;
+    cfg.dir = fresh_dir(method + "_run_fault_resumed");
+    cfg.checkpoint_every = 1000;  // only the explicit checkpoint below
+    {
+      serve::TuningRun run(spec, cfg, "run", nullptr, {}, &plan);
+      run.start();
+      for (int i = 0; i < 3; ++i) ASSERT_TRUE(run.step());
+      run.checkpoint();
+      for (int i = 0; i < 2; ++i) ASSERT_TRUE(run.step());  // journaled tail
+    }
+    cfg.resume = true;
+    serve::TuningRun run(spec, cfg, "run", nullptr, {}, &plan);
+    ASSERT_FALSE(run.complete());
+    run.start();
+    while (run.step()) {
+    }
+    EXPECT_TRUE(curves_identical(run.finish(), want))
+        << method << " resume diverged from the uninterrupted run";
+
+    // A finished run is served from its complete checkpoint.
+    serve::TuningRun done(spec, cfg, "run", nullptr, {}, &plan);
+    ASSERT_TRUE(done.complete());
+    EXPECT_TRUE(curves_identical(done.curve(), want));
   }
 }
 
