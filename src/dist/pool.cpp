@@ -652,9 +652,9 @@ void WorkerPool::finish(Worker& w, sandbox::SandboxResult res) const {
   w.failures = 0;
   w.last_activity = monotonic_seconds();
   if (res.status == sandbox::ResultStatus::Ok) {
-    if (res.pure.built && !res.pure.runs.empty())
-      base_.install_measure_memo(res.pure.binary_hash,
-                                 std::move(res.pure.runs));
+    // The worker's builds and runs become the base's own: the serial
+    // replay finds every build resident and every run memoized.
+    base_.install_pure_result(*jobs_[j].seqs, std::move(res.pure));
     remember(jobs_[j].sig, {FailureKind::None, measure_, ""});
     ++stats_.jobs_ok;
   } else if (fork) {

@@ -15,16 +15,18 @@
 //     pass active when the worker died.
 //
 // Results always come from the in-process serial replay
-// (`base.evaluate`/`base.compile`) with the worker's interpreter runs
-// installed as a measure memo — the mechanism batch prefetch already
-// uses — so order-sensitive state (fault-injector counters, the
-// identical-binary cache, accounting) advances exactly as without the
-// pool, and output is byte-identical whichever worker ran a job, or none.
+// (`base.evaluate`/`base.compile`) with the worker's build summaries
+// installed in the base's build cache and its interpreter runs as a
+// measure memo — what batch prefetch would have left there — so
+// order-sensitive state (fault-injector counters, the identical-binary
+// cache, accounting) advances exactly as without the pool, and output is
+// byte-identical whichever worker ran a job, or none. The base runs a
+// pass for a vetted candidate only where it needs the IR itself.
 //
 // The policy, written once for both transports:
 //
 //   - One worker per job. Each unvetted candidate runs on exactly one
-//     worker. An Ok result installs the memo and is the candidate's
+//     worker. An Ok result is installed and is the candidate's
 //     verdict; a socket result other than Ok leaves it unvetted.
 //   - Blame. A fork worker's death (signal, exit, corrupt stream, blown
 //     deadline) blames the candidate it was running with a WorkerCrash,
@@ -163,8 +165,9 @@ class WorkerPool final : public sim::Evaluator {
   sim::EvalOutcome evaluate(const sim::SequenceAssignment& seqs) override;
 
   /// Vet the whole batch across the pool (pipelined, one job in flight
-  /// per worker), then forward the survivors to the base prefetch.
-  /// Candidates with a fatal verdict are withheld from the base.
+  /// per worker), then forward the survivors to the base prefetch, which
+  /// finds their builds installed. Candidates with a fatal verdict are
+  /// withheld from the base.
   void prefetch(std::span<const sim::SequenceAssignment> batch,
                 bool with_measure = true) override;
 

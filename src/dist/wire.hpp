@@ -43,7 +43,9 @@ class ProgramEvaluator;
 
 namespace citroen::dist {
 
-inline constexpr std::uint32_t kProtocolVersion = 2;
+/// v2 added the clock stamps to Hello/HelloOk; v3 added build summaries
+/// to Result frames (sandbox/protocol.hpp).
+inline constexpr std::uint32_t kProtocolVersion = 3;
 
 enum class PeerMsg : std::uint8_t {
   Hello = 1,

@@ -35,6 +35,38 @@ ir::ExecResult get_exec_result(persist::Reader& r) {
   return out;
 }
 
+/// A build summary: every ModuleBuild field the serial path reads, and
+/// no IR. Counters travel by name, since StatKeys are interned per
+/// process.
+void put_summary(persist::Writer& w, const sim::BuildSummary& s) {
+  const sim::ModuleBuild& b = *s.build;
+  w.str(s.module);
+  w.b(b.ok);
+  w.b(b.crashed);
+  w.str(b.error);
+  persist::put(w, b.stats.counters());
+  w.u64(b.print_hash);
+  w.u64(static_cast<std::uint64_t>(b.code_size));
+}
+
+sim::BuildSummary get_summary(persist::Reader& r) {
+  sim::BuildSummary out;
+  out.module = r.str();
+  auto b = std::make_shared<sim::ModuleBuild>();
+  b->summary = true;
+  b->ok = r.b();
+  b->crashed = r.b();
+  b->error = r.str();
+  std::map<std::string, std::int64_t> counters;
+  persist::get(r, counters);
+  // set(), not add(): zero-valued counters must survive the trip.
+  for (const auto& [k, v] : counters) b->stats.set(k, v);
+  b->print_hash = r.u64();
+  b->code_size = static_cast<std::size_t>(r.u64());
+  out.build = std::move(b);
+  return out;
+}
+
 void put_obs_event(persist::Writer& w, const ObsEventWire& e) {
   w.u8(static_cast<std::uint8_t>(e.phase));
   w.str(e.name);
@@ -98,6 +130,8 @@ std::string encode_result(const SandboxResult& res) {
   w.u64(res.pure.binary_hash);
   w.u64(res.pure.runs.size());
   for (const auto& run : res.pure.runs) put_exec_result(w, run);
+  w.u64(res.pure.summaries.size());
+  for (const auto& s : res.pure.summaries) put_summary(w, s);
   w.u64(res.obs_events.size());
   for (const auto& ev : res.obs_events) put_obs_event(w, ev);
   w.u64(res.obs_counters.size());
@@ -122,6 +156,10 @@ bool decode_result(const std::string& payload, SandboxResult* res,
     res->pure.runs.clear();
     for (std::uint64_t i = 0; i < n; ++i)
       res->pure.runs.push_back(get_exec_result(r));
+    const std::uint64_t n_summaries = r.u64();
+    res->pure.summaries.clear();
+    for (std::uint64_t i = 0; i < n_summaries; ++i)
+      res->pure.summaries.push_back(get_summary(r));
     const std::uint64_t n_events = r.u64();
     res->obs_events.clear();
     for (std::uint64_t i = 0; i < n_events; ++i)

@@ -18,8 +18,19 @@
 //   u8  built
 //   u64 binary_hash
 //   u64 run_count     ( ExecResult x run_count )
+//   u64 summary_count ( BuildSummary x summary_count )
 //   u64 obs_event_count    ( ObsEvent x obs_event_count )
 //   u64 obs_counter_count  ( (str name, u64 delta) x obs_counter_count )
+//
+// A BuildSummary is one tuned module's build, for every tuned module the
+// worker's build reached, the one that failed included: str module,
+// u8 ok, u8 crashed, str error, the stats counters as (str name, i64
+// value) pairs, u64 print_hash, u64 code_size. It carries no IR: the
+// pool installs it into its build cache, where the serial replay reads
+// everything it needs from it, and rebuilds a module in-process only
+// when a run the memo does not cover, or the caller, needs the IR
+// (DESIGN.md, "Worker pool"). An Oom result carries no summaries and no
+// runs.
 //
 // The obs tail piggybacks the worker's trace events and metric-counter
 // deltas for this job on the existing result frame — same codec, same

@@ -20,14 +20,6 @@
 #include "sim/faults.hpp"
 #include "sim/prefix_cache.hpp"
 
-#if defined(__SANITIZE_ADDRESS__)
-#define CITROEN_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define CITROEN_ASAN 1
-#endif
-#endif
-
 namespace citroen::sandbox {
 
 namespace {

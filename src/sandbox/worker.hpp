@@ -19,6 +19,16 @@
 
 #include "sandbox/protocol.hpp"
 
+// CITROEN_ASAN marks an AddressSanitizer build, whose workers set no
+// RLIMIT_AS (see WorkerLimits::mem_headroom_bytes).
+#if defined(__SANITIZE_ADDRESS__)
+#define CITROEN_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define CITROEN_ASAN 1
+#endif
+#endif
+
 namespace citroen::sim {
 class ProgramEvaluator;
 }

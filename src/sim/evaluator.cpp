@@ -132,7 +132,8 @@ ProgramEvaluator::ProgramEvaluator(ir::Program base, ir::CostModel machine,
   Assembly o3_build = build({}, nullptr);
   if (!o3_build.error.empty())
     throw std::runtime_error("-O3 build failed: " + o3_build.error);
-  const auto o3 = ir::interpret(materialize(o3_build), machine_, limits_);
+  const auto o3 =
+      ir::interpret(materialize(o3_build, {}), machine_, limits_);
   if (!o3.ok || o3.ret != reference_output_)
     throw std::runtime_error("-O3 build miscompiled " + base_.name + ": " +
                              (o3.ok ? "output mismatch" : o3.trap));
@@ -198,7 +199,7 @@ void ProgramEvaluator::add_workload(const ir::Program& variant) {
   // and recompute the multi-workload -O3 baseline.
   cache_.clear();
   measure_memo_.clear();
-  ir::Program o3 = materialize(o3_);
+  ir::Program o3 = materialize(o3_, {});
   double total = ir::interpret(o3, machine_, limits_).cycles;
   for (const auto& wk : workloads_) {
     apply_workload(o3, wk);
@@ -263,6 +264,7 @@ ProgramEvaluator::Assembly ProgramEvaluator::assemble(
         a.error = (mb->crashed ? "pass pipeline failed: " : "verifier: ") +
                   mb->error;
         a.failure = mb->crashed ? FailureKind::Crash : FailureKind::Verifier;
+        a.modules.push_back(std::move(mb));
         return a;
       }
       if (stats_out && it != seqs.end()) stats_out->merge(mb->stats);
@@ -290,12 +292,25 @@ ProgramEvaluator::Assembly ProgramEvaluator::build(
   return a;
 }
 
-ir::Program ProgramEvaluator::materialize(const Assembly& a) const {
+ir::Program ProgramEvaluator::materialize(
+    const Assembly& a, const SequenceAssignment& seqs) const {
   ir::Program p;
   p.name = base_.name;
   p.entry = base_.entry;
   p.modules.reserve(a.modules.size());
-  for (const auto& mb : a.modules) p.modules.push_back(mb->module);
+  for (std::size_t i = 0; i < a.modules.size(); ++i) {
+    if (!a.modules[i]->summary) {
+      p.modules.push_back(a.modules[i]->module);
+      continue;
+    }
+    // A worker's summary: run the sequence here, where the IR is needed.
+    const ir::Module& m = base_.modules[i];
+    const auto it = seqs.find(m.name);
+    const auto ids = passes::intern_sequence(
+        it == seqs.end() ? passes::o3_sequence() : it->second);
+    p.modules.push_back(bc().build(m, ids, module_salt(m.name),
+                                   /*need_ir=*/true)->module);
+  }
   return p;
 }
 
@@ -313,7 +328,7 @@ CompileOutcome ProgramEvaluator::compile(const SequenceAssignment& seqs,
   out.binary_hash = a.hash;
   out.code_size = a.code_size;
   if (keep_program)
-    out.program = std::make_shared<const ir::Program>(materialize(a));
+    out.program = std::make_shared<const ir::Program>(materialize(a, seqs));
   return out;
 }
 
@@ -376,7 +391,7 @@ EvalOutcome ProgramEvaluator::evaluate(const SequenceAssignment& seqs) {
   std::optional<ir::Program> prog;
   const auto run_at = [&](std::size_t idx) -> ir::ExecResult {
     if (memo && idx < memo->runs.size()) return memo->runs[idx];
-    if (!prog) prog = materialize(a);
+    if (!prog) prog = materialize(a, seqs);
     if (idx > 0) apply_workload(*prog, workloads_[idx - 1]);
     return ir::interpret(*prog, machine_, limits_);
   };
@@ -493,6 +508,7 @@ void ProgramEvaluator::prefetch(std::span<const SequenceAssignment> batch,
   // are applied by the serial replay, which falls back to interpreting
   // directly if its early-stop point differs from ours.
   std::vector<Assembly> mjobs;
+  std::vector<const SequenceAssignment*> mseqs;
   std::unordered_set<std::uint64_t> seen_binaries;
   for (const auto& seqs : batch) {
     Assembly a = assemble(seqs, nullptr);
@@ -500,6 +516,7 @@ void ProgramEvaluator::prefetch(std::span<const SequenceAssignment> batch,
     if (cache_.count(a.hash) || measure_memo_.count(a.hash)) continue;
     if (!seen_binaries.insert(a.hash).second) continue;
     mjobs.push_back(std::move(a));
+    mseqs.push_back(&seqs);
   }
 
   std::vector<MeasureMemo> memos(mjobs.size());
@@ -507,7 +524,7 @@ void ProgramEvaluator::prefetch(std::span<const SequenceAssignment> batch,
   pool.parallel_for(mjobs.size(), [&](std::size_t i) {
     const Stopwatch sw;
     OBS_SPAN("prefetch_measure", "eval");
-    memos[i].runs = measure_pure(materialize(mjobs[i]));
+    memos[i].runs = measure_pure(materialize(mjobs[i], *mseqs[i]));
     secs[i] = sw.seconds();
   });
   for (std::size_t i = 0; i < mjobs.size(); ++i) {
@@ -540,23 +557,39 @@ PureEvalResult ProgramEvaluator::pure_evaluate(const SequenceAssignment& seqs,
     OBS_SPAN("build", "eval");
     OBS_COUNTER_INC("citroen_builds_total");
     a = assemble(seqs, nullptr);
-    if (!a.error.empty()) return out;
   }
+  for (std::size_t i = 0; i < a.modules.size(); ++i) {
+    const std::string& name = base_.modules[i].name;
+    if (seqs.contains(name)) out.summaries.push_back({name, a.modules[i]});
+  }
+  if (!a.error.empty()) return out;
   out.built = true;
   out.binary_hash = a.hash;
   if (with_measure) {
     OBS_SPAN("measure", "eval");
     OBS_COUNTER_INC("citroen_measurements_total");
-    out.runs = measure_pure(materialize(a));
+    out.runs = measure_pure(materialize(a, seqs));
   }
   return out;
 }
 
-void ProgramEvaluator::install_measure_memo(std::uint64_t binary_hash,
-                                            std::vector<ir::ExecResult> runs) {
-  if (binary_hash == 0 || runs.empty()) return;
-  if (cache_.count(binary_hash) || measure_memo_.count(binary_hash)) return;
-  measure_memo_.emplace(binary_hash, MeasureMemo{std::move(runs)});
+void ProgramEvaluator::install_pure_result(const SequenceAssignment& seqs,
+                                           PureEvalResult res) {
+  for (auto& s : res.summaries) {
+    const auto it = seqs.find(s.module);
+    if (it == seqs.end() || !base_.find_module(s.module)) continue;
+    std::vector<passes::PassId> ids;
+    try {
+      ids = passes::intern_sequence(it->second);
+    } catch (const std::exception&) {
+      continue;  // no build was reached under an unknown pass name
+    }
+    bc().install(s.module, ids, module_salt(s.module), std::move(s.build));
+  }
+  const std::uint64_t h = res.binary_hash;
+  if (!res.built || h == 0 || res.runs.empty()) return;
+  if (cache_.count(h) || measure_memo_.count(h)) return;
+  measure_memo_.emplace(h, MeasureMemo{std::move(res.runs)});
 }
 
 std::vector<EvalOutcome> Evaluator::evaluate_batch(

@@ -118,14 +118,27 @@ struct CompileOutcome {
   std::shared_ptr<const ir::Program> program;
 };
 
-/// The pure, order-insensitive part of one evaluation: what a sandbox
-/// worker computes out-of-process and ships back over IPC. Contains no
-/// injected-fault or cache state — the supervisor replays the normal
-/// serial path with `runs` pre-installed as a measurement memo, so
-/// sandboxed results stay byte-identical to in-process ones.
+/// One tuned module's build as a worker reports it. In the worker
+/// `build` is its own cached build; the result frame carries every
+/// field but the IR, so on the pool's side it is a summary
+/// (`ModuleBuild::summary`).
+struct BuildSummary {
+  std::string module;
+  std::shared_ptr<const ModuleBuild> build;
+};
+
+/// The pure, order-insensitive part of one evaluation: what a worker
+/// computes out-of-process and ships back. Contains no injected-fault
+/// or cache state — the pool installs it (`install_pure_result`) and
+/// replays the normal serial path, which finds the builds resident and
+/// the runs memoized, so pooled results stay byte-identical to
+/// in-process ones.
 struct PureEvalResult {
   bool built = false;             ///< all modules compiled and verified
   std::uint64_t binary_hash = 0;  ///< composed hash (0 when !built)
+  /// Every tuned module the build reached, in program order, the one
+  /// that failed included. Untuned modules reuse the prebuilt -O3 build.
+  std::vector<BuildSummary> summaries;
   /// Interpreter runs: runs[0] the base workload, runs[1+i] workload i,
   /// truncated at the serial path's early-stop point (see MeasureMemo).
   /// Empty when the job was compile-only or the build failed.
@@ -287,13 +300,14 @@ class ProgramEvaluator : public Evaluator {
   PureEvalResult pure_evaluate(const SequenceAssignment& seqs,
                                bool with_measure) const;
 
-  /// Pre-install interpreter runs for a binary (from a sandbox worker's
-  /// PureEvalResult), exactly as prefetch stage 2 would have. The serial
-  /// path then consumes them instead of re-interpreting. Installing a
-  /// memo never changes results, only where the interpreter time is
-  /// spent. No-op if the binary already has an outcome or a memo.
-  void install_measure_memo(std::uint64_t binary_hash,
-                            std::vector<ir::ExecResult> runs);
+  /// Install a worker's PureEvalResult for `seqs`: its build summaries
+  /// into the build cache, under the keys assembly looks up, and its
+  /// interpreter runs as a measure memo, exactly as prefetch would have
+  /// left them. The serial path then neither rebuilds nor re-interprets.
+  /// Installing never changes results, only where the time is spent.
+  /// The memo is skipped if the binary already has an outcome or a memo.
+  void install_pure_result(const SequenceAssignment& seqs,
+                           PureEvalResult res);
 
   // ---- accounting (Fig. 5.12 / Table 4.2) -------------------------------
   double total_compile_seconds() const override { return compile_seconds_; }
@@ -314,7 +328,8 @@ class ProgramEvaluator : public Evaluator {
   /// One candidate binary by reference: the cached build of every base
   /// module in program order (the prebuilt -O3 build where a module is
   /// untuned), with the composed hash and the live-instruction count.
-  /// No IR is copied until `materialize`.
+  /// No IR is copied until `materialize`. A failed assembly keeps the
+  /// builds it reached, a build that failed included.
   struct Assembly {
     std::vector<std::shared_ptr<const ModuleBuild>> modules;
     std::uint64_t hash = 0;
@@ -338,7 +353,10 @@ class ProgramEvaluator : public Evaluator {
                  std::map<std::string, passes::StatsRegistry>*
                      module_stats_out = nullptr) const;
   /// Copy an assembly's modules into a program the interpreter can run.
-  ir::Program materialize(const Assembly& a) const;
+  /// A summary in it is rebuilt for its IR, under the sequence `seqs`
+  /// gives its module (-O3 where untuned).
+  ir::Program materialize(const Assembly& a,
+                          const SequenceAssignment& seqs) const;
 
   struct Workload {
     /// Global data images per module: [module][global] -> bytes.

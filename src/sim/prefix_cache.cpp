@@ -182,8 +182,14 @@ void PrefixCache::insert(
   {
     const std::lock_guard<std::mutex> lock(s.mu);
     // Another thread built the same sequence first; its build is
-    // bit-identical, so keep it.
-    if (s.map.count(key)) return;
+    // bit-identical, so keep it, unless it is a summary and this build
+    // carries the IR.
+    if (const auto it = s.map.find(key); it != s.map.end()) {
+      if (!it->second.value->summary || value->summary) return;
+      s.bytes -= it->second.bytes;
+      s.lru.erase(it->second.lru_it);
+      s.map.erase(it);
+    }
     s.lru.push_front(key);
     s.map.emplace(key, Entry{value, s.lru.begin(), bytes});
     s.bytes += bytes;
@@ -210,9 +216,16 @@ std::shared_ptr<const ModuleBuild> PrefixCache::finalize(
   return value;
 }
 
+void PrefixCache::install(const std::string& module,
+                          const std::vector<passes::PassId>& ids,
+                          std::uint64_t salt,
+                          std::shared_ptr<const ModuleBuild> summary) const {
+  if (enabled() && summary) insert(build_key(module, ids, salt), summary);
+}
+
 std::shared_ptr<const ModuleBuild> PrefixCache::build(
     const ir::Module& base, const std::vector<passes::PassId>& ids,
-    std::uint64_t salt) const {
+    std::uint64_t salt, bool need_ir) const {
   const std::size_t n = ids.size();
   bump(1, &PrefixCacheStats::builds);
   OBS_COUNTER_INC("citroen_prefix_cache_builds_total");
@@ -222,8 +235,10 @@ std::shared_ptr<const ModuleBuild> PrefixCache::build(
     // A RAM miss probes the persistent tier. A disk hit promotes into RAM
     // (so subsequent builds are O(1) again) and counts like a full hit —
     // the stored build is bit-identical to what running the sequence
-    // would produce, so consumers cannot tell which path served them.
+    // would produce, so consumers cannot tell which path served them. A
+    // summary lacks the IR a `need_ir` caller wants, so it misses here.
     auto hit = lookup(key);
+    if (hit && need_ir && hit->ok && hit->summary) hit = nullptr;
     if (hit) {
       OBS_INSTANT("prefix_full_hit", "cache");
     } else if (disk_ && (hit = disk_->load(key))) {
@@ -257,6 +272,7 @@ std::shared_ptr<const ModuleBuild> PrefixCache::build(
       out->stats.merge(pass_stats);
     } catch (const std::exception& e) {
       bump(i + 1, &PrefixCacheStats::passes_run);
+      OBS_COUNTER_ADD("citroen_prefix_cache_passes_run_total", i + 1);
       auto failed = std::make_shared<ModuleBuild>();
       failed->crashed = true;
       failed->error = e.what();
@@ -264,6 +280,7 @@ std::shared_ptr<const ModuleBuild> PrefixCache::build(
     }
   }
   bump(n, &PrefixCacheStats::passes_run);
+  OBS_COUNTER_ADD("citroen_prefix_cache_passes_run_total", n);
 
   const auto verrs = ir::verify_module(out->module);
   if (!verrs.empty()) {

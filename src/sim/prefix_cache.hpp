@@ -14,6 +14,13 @@
 // workloads that costs more CPU than the pass runs it saves (DESIGN.md,
 // "Performance architecture").
 //
+// An entry can also be a *summary*: a build a worker process ran and
+// reported without its IR (`install`). Everything a candidate's hash,
+// size, stats and verdict need is there, so the evaluator assembles from
+// it like from any build; a consumer that needs the IR itself asks
+// `build` with `need_ir`, which runs the sequence and replaces the
+// summary with the full build. Summaries live in RAM only.
+//
 // Determinism: passes are pure functions of the module, so a cached
 // build is bit-identical to one run from scratch. All mutation is
 // guarded by mutex-striped shards with an LRU byte budget; results are
@@ -70,6 +77,9 @@ struct PrefixCacheStats {
 struct ModuleBuild {
   bool ok = false;
   bool crashed = false;          ///< a pass threw (vs verifier rejection)
+  /// IR-less: reported by a worker (PrefixCache::install). `module` is
+  /// then empty; every other field is the build's own.
+  bool summary = false;
   std::string error;             ///< exception text or first verifier error
   ir::Module module;             ///< post-sequence state (when ok)
   passes::StatsRegistry stats;   ///< accumulated -stats counters
@@ -97,10 +107,21 @@ class PrefixCache {
   /// Thread-safe; never throws (pass exceptions become failed results).
   /// `salt` is mixed into every cache key; a cache shared across
   /// evaluators passes a content hash of the module here so two modules
-  /// that merely share a name can never alias.
+  /// that merely share a name can never alias. The result may be a
+  /// summary unless `need_ir`: then a resident summary of a successful
+  /// build counts as a miss, and the full build replaces it.
   std::shared_ptr<const ModuleBuild> build(const ir::Module& base,
                                            const std::vector<passes::PassId>& ids,
-                                           std::uint64_t salt = 0) const;
+                                           std::uint64_t salt = 0,
+                                           bool need_ir = false) const;
+
+  /// Make `summary` resident under the key `build(base, ids, salt)`
+  /// looks up for a module named `module`, unless that key is resident
+  /// already. Runs no pass and writes nothing to the disk tier, whose
+  /// files must each be able to stand in for a full build.
+  void install(const std::string& module,
+               const std::vector<passes::PassId>& ids, std::uint64_t salt,
+               std::shared_ptr<const ModuleBuild> summary) const;
 
   bool enabled() const { return config_.byte_budget > 0; }
 

@@ -17,6 +17,7 @@
 #include "bench_suite/suite.hpp"
 #include "citroen/tuner.hpp"
 #include "baselines/tuners.hpp"
+#include "obs/metrics.hpp"
 #include "sim/evaluator.hpp"
 #include "sim/faults.hpp"
 #include "sim/machine.hpp"
@@ -285,6 +286,24 @@ TEST(PrefixCache, ByteBudgetEvicts) {
   const auto st = cache.stats();
   EXPECT_LE(st.bytes, tiny.byte_budget);
   EXPECT_GT(st.evictions, 0u);
+}
+
+TEST(PrefixCache, ExportsPassesRunNextToPassesSaved) {
+  const bool was_on = obs::metrics_enabled();
+  obs::metrics_force_enable(true);
+  auto& reg = obs::Registry::instance();
+  auto& run = reg.counter("citroen_prefix_cache_passes_run_total");
+  auto& saved = reg.counter("citroen_prefix_cache_passes_saved_total");
+  auto eval = make_eval();
+  const auto before = eval.prefix_cache_stats();
+  const std::uint64_t run0 = run.value();
+  const std::uint64_t saved0 = saved.value();
+  eval.evaluate_batch(make_batch(16));
+  const auto after = eval.prefix_cache_stats();
+  obs::metrics_force_enable(was_on);
+  EXPECT_GT(after.passes_run, before.passes_run);
+  EXPECT_EQ(run.value() - run0, after.passes_run - before.passes_run);
+  EXPECT_EQ(saved.value() - saved0, after.passes_saved - before.passes_saved);
 }
 
 // ---- batch evaluation determinism ----------------------------------------

@@ -281,6 +281,42 @@ TEST(PrefixCacheDiskTier, ClearKeepsDiskEntries) {
   EXPECT_GE(cache.stats().disk_hits, 1u);
 }
 
+TEST(BuildSummary, NeverReachesTheDiskTier) {
+  // A summary has no IR, so a disk file made from it would read back as
+  // an empty module. Installing one stores nothing; the full build that
+  // later replaces it stores as usual and reads back whole.
+  const std::string dir = scratch_dir("summary");
+  const auto program = bench_suite::make_program("security_sha");
+  const ir::Module& m = program.modules.front();
+  const auto ids = passes::intern_sequence({"mem2reg", "gvn", "dce"});
+  const auto full = sim::PrefixCache().build(m, ids, /*salt=*/5);
+  ASSERT_TRUE(full->ok);
+  auto summary = std::make_shared<sim::ModuleBuild>(*full);
+  summary->summary = true;
+  summary->module = ir::Module{};
+
+  sim::PrefixCacheConfig cfg;
+  cfg.disk_dir = dir;
+  {
+    sim::PrefixCache cache(cfg);
+    cache.install(m.name, ids, 5, summary);
+    EXPECT_EQ(cache.build(m, ids, 5).get(), summary.get());
+    EXPECT_EQ(cache.stats().disk_stores, 0u);
+    EXPECT_EQ(cache.stats().passes_run, 0u);
+    const auto rebuilt = cache.build(m, ids, 5, /*need_ir=*/true);
+    EXPECT_FALSE(rebuilt->summary);
+    EXPECT_EQ(rebuilt->print_hash, full->print_hash);
+    EXPECT_EQ(cache.stats().passes_run, ids.size());
+    EXPECT_EQ(cache.stats().disk_stores, 1u);
+    // The full build replaced the summary in RAM.
+    EXPECT_EQ(cache.build(m, ids, 5, /*need_ir=*/true).get(), rebuilt.get());
+  }
+  sim::PrefixCache restarted(cfg);
+  const auto back = restarted.build(m, ids, 5, /*need_ir=*/true);
+  EXPECT_EQ(restarted.stats().disk_hits, 1u);
+  EXPECT_EQ(ir::print_hash(back->module), full->print_hash);
+}
+
 // ---- byte-budget regression (satellite fix) --------------------------------
 
 namespace {

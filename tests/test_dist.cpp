@@ -133,6 +133,20 @@ TEST(DistWire, HelloDecodeRejectsTruncation) {
                          &back, &error));
 }
 
+TEST(DistWire, HelloFromAnotherProtocolVersionIsRefused) {
+  // Version 3 added build summaries to Result frames; a version-2 peer
+  // would misread every result, so its Hello must be refused.
+  ASSERT_EQ(dist::kProtocolVersion, 3u);
+  dist::ProgramSpec spec;
+  spec.program = "security_sha";
+  std::string bytes = dist::encode_hello(spec);
+  bytes[0] = 2;  // u32 version, little-endian
+  dist::ProgramSpec back;
+  std::string error;
+  EXPECT_FALSE(dist::decode_hello(bytes, &back, &error));
+  EXPECT_EQ(error, "protocol version mismatch");
+}
+
 TEST(DistWire, HelloOkHelloErrNonceRoundTrip) {
   std::uint64_t pid = 0, fp = 0;
   ASSERT_TRUE(dist::decode_hello_ok(

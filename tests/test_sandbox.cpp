@@ -1,8 +1,10 @@
 // Tests for out-of-process evaluation in fork workers: IPC frame
 // properties under truncation/corruption, the job/result codecs
 // (src/sandbox/), byte-identity of a fork-worker pool (dist/pool.hpp) vs.
-// plain evaluation, and one containment test per crash class (SIGSEGV,
-// OOM, spin, external SIGKILL) plus the circuit-breaker degradation path.
+// plain evaluation, the build summaries a result carries (the pool's base
+// runs no pass for what its workers built, and rebuilds where it needs
+// the IR), and one containment test per crash class (SIGSEGV, OOM, spin,
+// external SIGKILL) plus the circuit-breaker degradation path.
 
 #include <gtest/gtest.h>
 
@@ -17,12 +19,15 @@
 
 #include "bench_suite/suite.hpp"
 #include "dist/pool.hpp"
+#include "ir/printer.hpp"
 #include "persist/codec.hpp"
 #include "sandbox/ipc.hpp"
 #include "sandbox/protocol.hpp"
+#include "sandbox/worker.hpp"
 #include "sim/evaluator.hpp"
 #include "sim/faults.hpp"
 #include "sim/machine.hpp"
+#include "sim/prefix_cache.hpp"
 #include "sim/robust_evaluator.hpp"
 #include "support/rng.hpp"
 
@@ -54,6 +59,20 @@ std::string outcome_bytes(const sim::EvalOutcome& o) {
   persist::Writer w;
   sim::put(w, o);
   return w.take();
+}
+
+void expect_same_compile(const sim::CompileOutcome& a,
+                         const sim::CompileOutcome& b, std::size_t i) {
+  EXPECT_EQ(a.valid, b.valid) << "candidate " << i;
+  EXPECT_EQ(a.why_invalid, b.why_invalid) << "candidate " << i;
+  EXPECT_EQ(a.failure, b.failure) << "candidate " << i;
+  EXPECT_EQ(a.binary_hash, b.binary_hash) << "candidate " << i;
+  EXPECT_EQ(a.code_size, b.code_size) << "candidate " << i;
+  EXPECT_EQ(a.stats.counters(), b.stats.counters()) << "candidate " << i;
+  ASSERT_EQ(a.module_stats.size(), b.module_stats.size()) << "candidate " << i;
+  for (const auto& [name, st] : a.module_stats)
+    EXPECT_EQ(st.counters(), b.module_stats.at(name).counters())
+        << "candidate " << i << ", module " << name;
 }
 
 bool is_worker_failure(sim::FailureKind k) {
@@ -366,6 +385,40 @@ TEST(SandboxProtocol, ResultRoundTripsObsDeltas) {
       sandbox::decode_result(bytes.substr(0, bytes.size() - 4), &back, &err));
 }
 
+TEST(SandboxProtocol, ResultCarriesBuildSummariesWithoutIr) {
+  const auto program = bench_suite::make_program("security_sha");
+  const sim::PrefixCache cache;
+  const auto built = cache.build(
+      program.modules[0], passes::intern_sequence({"mem2reg", "gvn", "dce"}));
+  ASSERT_TRUE(built->ok);
+  auto failed = std::make_shared<sim::ModuleBuild>();
+  failed->crashed = true;
+  failed->error = "pass threw";
+  sandbox::SandboxResult res;
+  res.id = 3;
+  res.pure.summaries = {{"sha", built}, {"pad", failed}};
+  sandbox::SandboxResult back;
+  std::string err;
+  const std::string bytes = sandbox::encode_result(res);
+  ASSERT_TRUE(sandbox::decode_result(bytes, &back, &err)) << err;
+  ASSERT_EQ(back.pure.summaries.size(), 2u);
+  const auto& ok = *back.pure.summaries[0].build;
+  EXPECT_EQ(back.pure.summaries[0].module, "sha");
+  EXPECT_TRUE(ok.summary);
+  EXPECT_TRUE(ok.ok);
+  EXPECT_TRUE(ok.module.functions.empty());
+  EXPECT_EQ(ok.print_hash, built->print_hash);
+  EXPECT_EQ(ok.code_size, built->code_size);
+  EXPECT_EQ(ok.stats.counters(), built->stats.counters());
+  const auto& bad = *back.pure.summaries[1].build;
+  EXPECT_EQ(back.pure.summaries[1].module, "pad");
+  EXPECT_FALSE(bad.ok);
+  EXPECT_TRUE(bad.crashed);
+  EXPECT_EQ(bad.error, "pass threw");
+  // No IR crosses: the frame is far smaller than the module it describes.
+  EXPECT_LT(bytes.size(), ir::print_module(built->module).size() / 4);
+}
+
 TEST(SandboxProtocol, MalformedPayloadsAreRejectedNotTrusted) {
   sandbox::SandboxJob job;
   std::string err;
@@ -473,6 +526,105 @@ TEST(Sandbox, ShutdownNeverWaitsOnAnotherEvaluatorsWorkers) {
   EXPECT_FALSE(second.degraded());
 }
 
+// ---- build summaries -------------------------------------------------------
+
+TEST(BuildSummary, PoolBaseRunsNoPassForWhatItsWorkersBuilt) {
+  sim::ProgramEvaluator plain(bench_suite::make_program("security_sha"),
+                              sim::arm_a57_model());
+  sim::ProgramEvaluator base(bench_suite::make_program("security_sha"),
+                             sim::arm_a57_model());
+  const std::uint64_t runs_after_construction =
+      base.prefix_cache_stats().passes_run;
+  dist::PoolConfig cfg;
+  cfg.fork_workers = 2;
+  dist::WorkerPool pool(base, cfg);
+
+  std::vector<sim::SequenceAssignment> batch;
+  for (int i = 0; i < 9; ++i) batch.push_back(make_assignment(i));
+  // Two tuned modules, both built.
+  batch.push_back(make_assignment(4));
+  batch.back()["pad"] = {"simplifycfg", "dce"};
+  // Fails before any build: the first tuned module names no pass.
+  batch.push_back({{"sha", {"mem2reg", "no-such-pass"}}});
+  // Fails after one: sha builds, then pad names no pass.
+  batch.push_back(make_assignment(5));
+  batch.back()["pad"] = {"dce", "no-such-pass"};
+
+  // Compile-only jobs first, then measured ones: both ship summaries.
+  const auto compiled = pool.compile_batch(batch);
+  const auto want_compiled = plain.compile_batch(batch);
+  ASSERT_EQ(compiled.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    expect_same_compile(compiled[i], want_compiled[i], i);
+  const auto evaluated = pool.evaluate_batch(batch);
+  const auto want_evaluated = plain.evaluate_batch(batch);
+  ASSERT_EQ(evaluated.size(), batch.size());
+  std::size_t invalid = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(outcome_bytes(evaluated[i]), outcome_bytes(want_evaluated[i]))
+        << "candidate " << i;
+    invalid += evaluated[i].valid ? 0 : 1;
+  }
+  EXPECT_EQ(invalid, 2u);
+  EXPECT_EQ(pool.num_compiles(), plain.num_compiles());
+  EXPECT_EQ(pool.num_measurements(), plain.num_measurements());
+  EXPECT_EQ(pool.num_cache_hits(), plain.num_cache_hits());
+  EXPECT_EQ(pool.stats().jobs_ok, 2 * batch.size());
+  // Every build the replay needed was resident as a worker's summary.
+  EXPECT_EQ(base.prefix_cache_stats().passes_run, runs_after_construction);
+  EXPECT_GT(plain.prefix_cache_stats().passes_run, runs_after_construction);
+}
+
+TEST(BuildSummary, IrIsRebuiltWhereItIsNeeded) {
+  const auto program = bench_suite::make_program("security_sha");
+  sim::ProgramEvaluator plain(program, sim::arm_a57_model());
+  sim::ProgramEvaluator worker(program, sim::arm_a57_model());
+  sim::ProgramEvaluator base(program, sim::arm_a57_model());
+  const auto cache = std::make_shared<sim::PrefixCache>();
+  base.set_shared_prefix_cache(cache);
+  const ir::Module& sha = *program.find_module("sha");
+  const std::uint64_t salt = ir::print_hash(sha);
+
+  // Install what a worker sends for `seqs`, compile-only: summaries, no
+  // runs, so nothing but a rebuild can supply the IR.
+  const auto install = [&](const sim::SequenceAssignment& seqs) {
+    sandbox::SandboxResult res;
+    res.pure = worker.pure_evaluate(seqs, /*with_measure=*/false);
+    sandbox::SandboxResult back;
+    std::string err;
+    ASSERT_TRUE(sandbox::decode_result(sandbox::encode_result(res), &back,
+                                       &err))
+        << err;
+    ASSERT_EQ(back.pure.summaries.size(), 1u);
+    base.install_pure_result(seqs, std::move(back.pure));
+    const auto entry =
+        cache->build(sha, passes::intern_sequence(seqs.at("sha")), salt);
+    EXPECT_TRUE(entry->summary);
+    EXPECT_TRUE(entry->module.functions.empty());
+  };
+  const auto expect_full_entry = [&](const sim::SequenceAssignment& seqs) {
+    const auto entry =
+        cache->build(sha, passes::intern_sequence(seqs.at("sha")), salt);
+    EXPECT_FALSE(entry->summary);
+    EXPECT_EQ(ir::print_hash(entry->module), entry->print_hash);
+  };
+
+  const auto kept = make_assignment(1);
+  install(kept);
+  const auto got = base.compile(kept, /*keep_program=*/true);
+  const auto want = plain.compile(kept, /*keep_program=*/true);
+  expect_same_compile(got, want, 1);
+  ASSERT_TRUE(got.program && want.program);
+  EXPECT_EQ(sim::program_hash(*got.program), sim::program_hash(*want.program));
+  expect_full_entry(kept);
+
+  const auto measured = make_assignment(2);
+  install(measured);
+  EXPECT_EQ(outcome_bytes(base.evaluate(measured)),
+            outcome_bytes(plain.evaluate(measured)));
+  expect_full_entry(measured);
+}
+
 // ---- end-to-end: containment ----------------------------------------------
 
 namespace {
@@ -533,13 +685,25 @@ TEST(Sandbox, ContainsSegvAndNamesThePass) {
 
 TEST(Sandbox, ContainsOom) {
   ContainmentRig rig(0, 1.0, 0, 30.0);
+  const auto insertions = rig.base.prefix_cache_stats().insertions;
   const auto out = rig.crash_outcome();
   EXPECT_FALSE(out.valid);
-  // Plain builds contain the OOM in-worker (bad_alloc -> WorkerOOM); ASan
-  // builds abort on allocator exhaustion instead (-> WorkerCrash).
-  EXPECT_TRUE(out.failure == sim::FailureKind::WorkerOOM ||
-              out.failure == sim::FailureKind::WorkerCrash)
+#if defined(CITROEN_ASAN)
+  // ASan never reaches RLIMIT_AS: the worker sets none under ASan, whose
+  // allocator aborts the oversized request instead (-> WorkerCrash).
+  EXPECT_EQ(out.failure, sim::FailureKind::WorkerCrash)
       << sim::failure_kind_name(out.failure);
+  EXPECT_EQ(rig.sb.stats().jobs_oom, 0u);
+#else
+  // The address-space cap makes the hoard throw bad_alloc; the worker
+  // contains it and replies Oom (-> WorkerOOM), staying up.
+  EXPECT_EQ(out.failure, sim::FailureKind::WorkerOOM)
+      << sim::failure_kind_name(out.failure) << ": " << out.why_invalid;
+  EXPECT_EQ(rig.sb.stats().jobs_oom, 1u);
+  EXPECT_EQ(rig.sb.stats().worker_crashes, 0u);
+#endif
+  // An Oom result carries no summaries: nothing reached the base's cache.
+  EXPECT_EQ(rig.base.prefix_cache_stats().insertions, insertions);
   EXPECT_TRUE(rig.still_serving());
 }
 
